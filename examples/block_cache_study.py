@@ -13,6 +13,7 @@ import argparse
 
 from repro.analysis.comparison import win_fractions
 from repro.analysis.tables import render_percent, render_table
+from repro.sim.options import SimOptions
 from repro.sim.runner import SMALL_FRACTION, run_matrix
 from repro.traces.corpus import build_corpus
 
@@ -33,7 +34,7 @@ def main() -> None:
                           families=BLOCK_FAMILIES)
     print(f"Simulating {len(traces)} traces x 3 policies x 2 sizes ...")
     records = run_matrix(["LRU", "FIFO-Reinsertion", "2-bit-CLOCK"],
-                         traces, min_capacity=50)
+                         traces, options=SimOptions(min_capacity=50))
 
     for challenger in ("FIFO-Reinsertion", "2-bit-CLOCK"):
         rows = []

@@ -16,6 +16,7 @@ import numpy as np
 from repro.analysis.metrics import pairwise_reduction, reductions_from_baseline
 from repro.analysis.tables import render_percent, render_table
 from repro.policies.registry import SOTA_NAMES
+from repro.sim.options import SimOptions
 from repro.sim.runner import LARGE_FRACTION, run_matrix
 from repro.traces.corpus import build_corpus
 
@@ -35,7 +36,8 @@ def main() -> None:
     print(f"Simulating {len(traces)} web traces x {len(policies)} "
           "policies at the large (10%) cache size ...")
     records = run_matrix(policies, traces,
-                         size_fractions=(LARGE_FRACTION,), min_capacity=50)
+                         size_fractions=(LARGE_FRACTION,),
+                         options=SimOptions(min_capacity=50))
 
     reductions = reductions_from_baseline(records, baseline="FIFO")
     rows = []

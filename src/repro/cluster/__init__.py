@@ -23,7 +23,6 @@ from repro.cluster.cluster import (
 )
 from repro.cluster.loadgen import (
     SERVED,
-    ClusterLoadReport,
     run_cluster_load,
     run_open_cluster_load,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "CacheCluster",
     "ClusterConfig",
     "ClusterGetResult",
-    "ClusterLoadReport",
     "ClusterMetrics",
     "ClusterWorkload",
     "FrontCache",

@@ -42,17 +42,12 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Hashable, List,
 
 from repro.core.base import validate_capacity
 from repro.exec.clock import Clock, SystemClock
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    MetricsRegistry,
-    Reservoir,
-)
+from repro.obs.metrics import MetricsRegistry, OutcomeMetrics
 from repro.cluster.ring import DEFAULT_VNODES, HashRing, moved_keys
 from repro.obs.reqtrace import NOT_SAMPLED
 from repro.service.service import (
     ERROR,
     HIT,
-    LATENCY_RESERVOIR_SIZE,
     MISS,
     SHED,
     STALE,
@@ -234,52 +229,31 @@ class ClusterGetResult:
         return self.outcome in (HIT, MISS, REPLICA_HIT, STALE)
 
 
-class ClusterMetrics:
-    """Thread-safe cluster-wide accounting (the conservation invariant).
+class ClusterMetrics(OutcomeMetrics):
+    """Cluster-wide accounting (the conservation invariant).
 
-    Mirrors into a registry when given one:
-    ``cluster_requests_total{outcome=}``,
+    A view over registry metrics: ``cluster_requests_total{outcome=}``,
     ``cluster_request_latency_seconds{outcome=}``,
-    ``cluster_replications_total``, ``cluster_front_hits_total``,
-    ``cluster_replica_probes_total``, plus the ring-state gauges
-    ``cluster_ring_nodes`` and ``cluster_shard_up{shard=}`` maintained
-    by the cluster itself.
+    ``cluster_front_hits_total``, ``cluster_replications_total`` and
+    ``cluster_replica_probes_total`` (see
+    :class:`~repro.obs.metrics.OutcomeMetrics`).  The ring-state gauges
+    ``cluster_ring_nodes`` and ``cluster_shard_up{shard=}`` live in the
+    same registry, maintained by the cluster itself.
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self._lock = threading.Lock()
-        self.counts: Dict[str, int] = {
-            outcome: 0 for outcome in CLUSTER_OUTCOMES}
-        self.front_hits = 0
-        self.replications = 0
-        self.replica_probes = 0
-        # Fixed-size latency samples: cluster-wide open-loop runs must
-        # not grow memory one float per request.
-        self._latencies: Dict[str, Reservoir] = {
-            outcome: Reservoir(LATENCY_RESERVOIR_SIZE, seed=index)
-            for index, outcome in enumerate(CLUSTER_OUTCOMES)}
-        self.registry = registry
-        if registry is not None:
-            self._obs_requests = {
-                outcome: registry.counter(
-                    "cluster_requests_total",
-                    "Cluster requests by outcome", outcome=outcome)
-                for outcome in CLUSTER_OUTCOMES}
-            self._obs_latency = {
-                outcome: registry.histogram(
-                    "cluster_request_latency_seconds",
-                    "Cluster request latency by outcome",
-                    DEFAULT_LATENCY_BUCKETS, outcome=outcome)
-                for outcome in CLUSTER_OUTCOMES}
-            self._obs_front = registry.counter(
-                "cluster_front_hits_total",
-                "Requests absorbed by the front cache")
-            self._obs_replications = registry.counter(
-                "cluster_replications_total",
-                "Hot-key values pushed to replica shards")
-            self._obs_probes = registry.counter(
-                "cluster_replica_probes_total",
-                "Replica reads attempted while a primary was unavailable")
+    prefix = "cluster"
+    outcomes = CLUSTER_OUTCOMES
+    requests_help = "Cluster requests by outcome"
+    latency_help = "Cluster request latency by outcome"
+    events = {
+        "front_hits": ("cluster_front_hits_total",
+                       "Requests absorbed by the front cache"),
+        "replications": ("cluster_replications_total",
+                         "Hot-key values pushed to replica shards"),
+        "replica_probes": (
+            "cluster_replica_probes_total",
+            "Replica reads attempted while a primary was unavailable"),
+    }
 
     def record(self, outcome: str, latency: float,
                front: bool = False, exemplar: Optional[str] = None) -> bool:
@@ -289,66 +263,14 @@ class ClusterMetrics:
         histogram (first observation per bucket wins); returns True
         when it was taken so the caller can pin that trace.
         """
-        with self._lock:
-            self.counts[outcome] += 1
-            self._latencies[outcome].add(latency)
-            if front:
-                self.front_hits += 1
-        took = False
-        if self.registry is not None:
-            self._obs_requests[outcome].inc()
-            took = self._obs_latency[outcome].observe(latency,
-                                                      exemplar=exemplar)
-            if front:
-                self._obs_front.inc()
-        return took
+        return self._record(outcome, latency,
+                            "front_hits" if front else None, exemplar)
 
     def record_replication(self, copies: int) -> None:
-        with self._lock:
-            self.replications += copies
-        if self.registry is not None:
-            self._obs_replications.inc(copies)
+        self._count("replications", copies)
 
     def record_replica_probe(self) -> None:
-        with self._lock:
-            self.replica_probes += 1
-        if self.registry is not None:
-            self._obs_probes.inc()
-
-    # -- views ---------------------------------------------------------
-    @property
-    def requests(self) -> int:
-        with self._lock:
-            return sum(self.counts.values())
-
-    def latencies(self, outcome: Optional[str] = None) -> List[float]:
-        """Sampled latencies, for one outcome or all of them."""
-        with self._lock:
-            if outcome is not None:
-                return self._latencies[outcome].values()
-            merged: List[float] = []
-            for reservoir in self._latencies.values():
-                merged.extend(reservoir.values())
-            return merged
-
-    def snapshot(self) -> Dict[str, int]:
-        """A consistent copy of every counter."""
-        with self._lock:
-            snap = dict(self.counts)
-            snap["requests"] = sum(self.counts.values())
-            snap["front_hits"] = self.front_hits
-            snap["replications"] = self.replications
-            snap["replica_probes"] = self.replica_probes
-            return snap
-
-    def check_conservation(self) -> None:
-        """Assert the cluster-wide outcome-conservation invariant."""
-        snap = self.snapshot()
-        accounted = sum(snap[outcome] for outcome in CLUSTER_OUTCOMES)
-        if accounted != snap["requests"]:
-            raise AssertionError(
-                f"cluster outcome accounting broken: {accounted} "
-                f"accounted vs {snap['requests']} requests ({snap})")
+        self._count("replica_probes")
 
 
 @dataclass
@@ -416,7 +338,9 @@ class CacheCluster:
     service should share the cluster's ``clock`` (the
     :func:`build_cluster` helper wires all of this, including one
     fault plan and breaker per shard and per-shard metric labels).
-    The single public serving operation is :meth:`get`.
+    The single public serving operation is :meth:`get`.  Without a
+    shared ``registry`` the cluster counts into a private one
+    (``cluster.registry``), as each shard built without one does.
     """
 
     def __init__(
@@ -442,7 +366,7 @@ class CacheCluster:
         self.shards: Dict[str, CacheService] = dict(shards)
         self.ring = HashRing(self.shards, vnodes=self.config.vnodes)
         self.metrics = ClusterMetrics(registry)
-        self.registry = registry
+        self.registry = self.metrics.registry
         self.hot_tracker = HotKeyTracker(
             self.config.hot_tracker_size, self.config.hot_key_threshold)
         self.front_cache: Optional[FrontCache] = (
@@ -451,18 +375,12 @@ class CacheCluster:
             if self.config.front_cache_size > 0 else None)
         self._down = _DownWindows()
         self._membership_lock = threading.Lock()
-        self._ring_gauge = None
+        self._ring_gauge = self.registry.gauge(
+            "cluster_ring_nodes", "Shards currently on the ring")
+        self._ring_gauge.set(len(self.ring))
         self._up_gauges: Dict[str, Any] = {}
-        if registry is not None:
-            self._ring_gauge = registry.gauge(
-                "cluster_ring_nodes", "Shards currently on the ring")
-            self._ring_gauge.set(len(self.ring))
-            for name in self.shards:
-                gauge = registry.gauge(
-                    "cluster_shard_up", "1 = shard serving, 0 = down",
-                    shard=name)
-                gauge.set(1)
-                self._up_gauges[name] = gauge
+        for name in self.shards:
+            self._up_gauge(name).set(1)
 
     # ------------------------------------------------------------------
     # Serving path
@@ -599,10 +517,18 @@ class CacheCluster:
 
     def _shard_down(self, name: str, now: float) -> bool:
         down = self._down.is_down(name, now)
-        gauge = self._up_gauges.get(name)
-        if gauge is not None:
-            gauge.set(0 if down else 1)
+        self._up_gauge(name).set(0 if down else 1)
         return down
+
+    def _up_gauge(self, name: str) -> Any:
+        """Shard *name*'s ``cluster_shard_up`` gauge (created once)."""
+        gauge = self._up_gauges.get(name)
+        if gauge is None:
+            gauge = self.registry.gauge(
+                "cluster_shard_up", "1 = shard serving, 0 = down",
+                shard=name)
+            self._up_gauges[name] = gauge
+        return gauge
 
     def _finish(self, key: Key, value: Any, outcome: str,
                 shard: Optional[str], t0: float, front: bool = False,
@@ -746,16 +672,8 @@ class CacheCluster:
         return report
 
     def _after_membership_change(self, name: str, up: bool) -> None:
-        if self._ring_gauge is not None:
-            self._ring_gauge.set(len(self.ring))
-        if self.registry is not None and up and name not in self._up_gauges:
-            gauge = self.registry.gauge(
-                "cluster_shard_up", "1 = shard serving, 0 = down",
-                shard=name)
-            self._up_gauges[name] = gauge
-        gauge = self._up_gauges.get(name)
-        if gauge is not None:
-            gauge.set(1 if up else 0)
+        self._ring_gauge.set(len(self.ring))
+        self._up_gauge(name).set(1 if up else 0)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -120,9 +120,7 @@ class PolicyOutageRow:
 
     @property
     def effective_hit_ratio(self) -> float:
-        served_from_cache = (self.report.outcomes["hit"]
-                             + self.report.outcomes["stale"])
-        return served_from_cache / max(1, self.report.requests)
+        return self.report.effective_hit_ratio
 
     @property
     def fresh_hit_ratio(self) -> float:

@@ -36,13 +36,10 @@ from repro.exec.retry import RetryPolicy
 from repro.experiments.common import QUICK, CorpusConfig, write_result
 from repro.policies.registry import make
 from repro.service.breaker import BreakerConfig
+from repro.service.loadgen import LoadReport
 from repro.service.service import ServiceConfig
 from repro.cluster.cluster import ClusterConfig, build_cluster
-from repro.cluster.loadgen import (
-    SERVED,
-    ClusterLoadReport,
-    run_cluster_load,
-)
+from repro.cluster.loadgen import SERVED, run_cluster_load
 from repro.cluster.workload import make_cluster_workload
 
 #: same contenders as X4: eager promotion vs lazy promotion vs QD+LP
@@ -110,7 +107,7 @@ class ClusterOutageRow:
 
     policy: str
     replicas: int
-    report: ClusterLoadReport
+    report: LoadReport
 
     @property
     def availability(self) -> float:

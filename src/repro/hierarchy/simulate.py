@@ -150,21 +150,14 @@ def _tier_report(tier) -> TierReport:
 
 
 def simulate_hierarchy(
-    config: Optional[HierarchyConfig],
+    config: HierarchyConfig,
     sized: SizedTrace,
     *,
     registry: Optional[MetricsRegistry] = None,
     metric_labels: Optional[Dict[str, str]] = None,
-    **legacy: object,
 ) -> HierarchyResult:
-    """Replay a ``(keys, sizes)`` trace through a tier stack.
-
-    The deprecated single-tier spelling
-    ``simulate_hierarchy(None, sized, capacity_bytes=..., policy=...)``
-    still works (``DeprecationWarning``, once per keyword) and behaves
-    like the old bare sized simulator with demotion disabled.
-    """
-    config = coerce_hierarchy_config("simulate_hierarchy", config, legacy)
+    """Replay a ``(keys, sizes)`` trace through a tier stack."""
+    config = coerce_hierarchy_config("simulate_hierarchy", config)
     keys, sizes = sized
     if len(keys) != len(sizes):
         raise ValueError("keys and sizes must have equal length")

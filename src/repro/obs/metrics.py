@@ -16,10 +16,13 @@ Cachelib but kept dependency-free and small:
   eviction ages.
 
 All metric types are thread-safe; instrumented hot paths pay one lock
-acquisition plus one dict/bucket update per observation, and every
-subsystem keeps instrumentation **opt-in** so uninstrumented runs pay
-nothing (``benchmarks/check_obs_overhead.py`` enforces <5 % on the
-fast-path benchmark).
+acquisition plus one dict/bucket update per observation.  The simulator
+and sweep executor keep instrumentation **opt-in** so uninstrumented
+runs pay nothing (``benchmarks/check_obs_overhead.py`` enforces <5 % on
+the fast-path benchmark).  The serving layers always count into a
+registry: :class:`OutcomeMetrics` is the per-outcome view the cache
+service and cluster read their counts back through, over a private
+registry unless the caller shares one.
 
 Identity is ``(name, sorted label pairs)``: asking the registry for the
 same name+labels returns the same metric object, asking for the same
@@ -30,6 +33,7 @@ returns plain dict rows -- the one wire format all exporters
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -45,6 +49,10 @@ DEFAULT_DURATION_BUCKETS = tuple(0.01 * 2 ** i for i in range(14))
 #: Default age buckets (requests) for eviction-age histograms.
 DEFAULT_AGE_BUCKETS = tuple(int(10 * 4 ** i) for i in range(10))
 
+#: Per-outcome latency sample size kept by :class:`OutcomeMetrics`.
+#: Percentile error at this size is well under the 5% CI diff gates.
+LATENCY_RESERVOIR_SIZE = 4096
+
 
 def exponential_buckets(start: float, factor: float,
                         count: int) -> Tuple[float, ...]:
@@ -56,6 +64,25 @@ def exponential_buckets(start: float, factor: float,
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     return tuple(start * factor ** i for i in range(count))
+
+
+def percentile(values: Sequence[float], fraction: float) -> float:
+    """Nearest-rank percentile of *values* (0.0 for an empty input).
+
+    Standard ceil-based nearest-rank: the p-th percentile of N sorted
+    samples is the value at 1-indexed rank ``ceil(p * N)`` (and the
+    minimum for p = 0).  A ``round()``-based rank would use banker's
+    rounding, so ties at ``.5`` would resolve to the even rank -- p50
+    of ``[1, 2]`` would come out as 1 while p50 of ``[1, 2, 3, 4]``
+    came out as 3, an inconsistency the boundary tests pin down.
+    """
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    rank = max(1, math.ceil(fraction * len(ordered)))
+    return ordered[rank - 1]
 
 
 def _label_pairs(labels: Dict[str, str]) -> LabelPairs:
@@ -355,9 +382,9 @@ class Reservoir:
     so sample percentiles converge on stream percentiles while memory
     stays O(size).  Seeded, hence deterministic per instance.
 
-    Not internally locked -- callers (``ServiceMetrics``,
-    ``ClusterMetrics``) already serialise observations under their own
-    lock, and the extra acquisition per request would be pure overhead.
+    Not internally locked -- the caller (:class:`OutcomeMetrics`)
+    already serialises observations under its own lock, and the extra
+    acquisition per request would be pure overhead.
     """
 
     def __init__(self, size: int = 4096, seed: int = 0) -> None:
@@ -384,6 +411,124 @@ class Reservoir:
     def values(self) -> List[float]:
         """A copy of the current sample (unordered)."""
         return list(self._values)
+
+
+class OutcomeMetrics:
+    """Per-outcome request accounting for one serving layer.
+
+    The registry is the only store of counts: every finished request
+    increments ``<prefix>_requests_total{outcome=}`` and observes
+    ``<prefix>_request_latency_seconds{outcome=}``, and each name in
+    :attr:`events` is a counter of its own.  Without a shared registry
+    the view creates a private one, so the counts exist either way.
+    Extra *labels* (e.g. ``{"shard": "s2"}``) are attached to every
+    metric, which keeps per-shard behaviour separable in one shared
+    registry.
+
+    Latencies are also kept as per-outcome fixed-size
+    :class:`Reservoir` samples (seeded, so single-threaded runs are
+    deterministic): raw samples for exact load-report percentiles at
+    constant memory, not a second count.
+
+    Histogram exemplars are only offered to a registry the caller
+    passed in: a taken exemplar pins its trace in the request tracer,
+    and pinning traces for a private registry nobody reads would
+    change which traces the tracer keeps.
+
+    Subclasses name the layer: :attr:`prefix`, :attr:`outcomes`, the
+    two per-outcome help strings and :attr:`events`.
+    """
+
+    prefix = ""
+    outcomes: Tuple[str, ...] = ()
+    requests_help = ""
+    latency_help = ""
+    #: snapshot key -> (counter name, help) for each event counter.
+    events: Dict[str, Tuple[str, str]] = {}
+
+    def __init__(self, registry: Optional[MetricsRegistry] = None,
+                 labels: Optional[Dict[str, str]] = None) -> None:
+        self._exemplars = registry is not None
+        self.registry = registry if registry is not None \
+            else MetricsRegistry()
+        self.labels = dict(labels or {})
+        self._lock = threading.Lock()
+        self._requests = {
+            outcome: self.registry.counter(
+                f"{self.prefix}_requests_total", self.requests_help,
+                outcome=outcome, **self.labels)
+            for outcome in self.outcomes}
+        self._latency = {
+            outcome: self.registry.histogram(
+                f"{self.prefix}_request_latency_seconds", self.latency_help,
+                DEFAULT_LATENCY_BUCKETS, outcome=outcome, **self.labels)
+            for outcome in self.outcomes}
+        self._events = {
+            key: self.registry.counter(name, help, **self.labels)
+            for key, (name, help) in self.events.items()}
+        self._samples = {
+            outcome: Reservoir(LATENCY_RESERVOIR_SIZE, seed=index)
+            for index, outcome in enumerate(self.outcomes)}
+
+    def _record(self, outcome: str, latency: float, event: Optional[str],
+                exemplar: Optional[str]) -> bool:
+        """Count one finished request (and *event*, if given).
+
+        Returns True when the latency histogram took *exemplar*.
+        """
+        # Sample and count under one lock, so check_conservation sees
+        # them agree at any quiescent point.
+        with self._lock:
+            self._samples[outcome].add(latency)
+            self._requests[outcome].inc()
+        took = self._latency[outcome].observe(
+            latency, exemplar=exemplar if self._exemplars else None)
+        if event is not None:
+            self._events[event].inc()
+        return took
+
+    def _count(self, event: str, amount: int = 1) -> None:
+        self._events[event].inc(amount)
+
+    # -- views ---------------------------------------------------------
+    @property
+    def requests(self) -> int:
+        """Finished requests, every outcome."""
+        return sum(counter.value for counter in self._requests.values())
+
+    def count(self, outcome: str) -> int:
+        """Finished requests that resolved to *outcome*."""
+        return self._requests[outcome].value
+
+    def latencies(self, outcome: Optional[str] = None) -> List[float]:
+        """Sampled latencies, for one outcome or all of them."""
+        with self._lock:
+            if outcome is not None:
+                return self._samples[outcome].values()
+            merged: List[float] = []
+            for reservoir in self._samples.values():
+                merged.extend(reservoir.values())
+            return merged
+
+    def snapshot(self) -> Dict[str, int]:
+        """Every outcome count, ``requests``, then every event count."""
+        snap = {outcome: counter.value
+                for outcome, counter in self._requests.items()}
+        snap["requests"] = sum(snap.values())
+        for key, counter in self._events.items():
+            snap[key] = counter.value
+        return snap
+
+    def check_conservation(self) -> None:
+        """Assert every recorded request is in exactly one outcome count."""
+        with self._lock:
+            recorded = sum(sample.count for sample in self._samples.values())
+            snap = self.snapshot()
+        if snap["requests"] != recorded:
+            raise AssertionError(
+                f"{self.prefix} outcome accounting broken: "
+                f"{snap['requests']} counted vs {recorded} recorded "
+                f"requests ({snap})")
 
 
 def merge_snapshots(snapshots: Iterable[List[dict]]) -> List[dict]:
@@ -427,11 +572,14 @@ __all__ = [
     "DEFAULT_AGE_BUCKETS",
     "DEFAULT_DURATION_BUCKETS",
     "DEFAULT_LATENCY_BUCKETS",
+    "LATENCY_RESERVOIR_SIZE",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "OutcomeMetrics",
     "Reservoir",
     "exponential_buckets",
     "merge_snapshots",
+    "percentile",
 ]

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -45,6 +44,7 @@ from pathlib import Path
 from random import Random
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.obs.metrics import Reservoir, percentile
 from repro.obs.span import validate_chrome_trace
 
 PathLike = Union[str, Path]
@@ -55,16 +55,6 @@ KEEP_MARKED = "marked"      # a layer called span.mark() (breaker-open, ...)
 KEEP_EXEMPLAR = "exemplar"  # trace id was taken as a histogram exemplar
 KEEP_SLOW = "slow"          # latency above the tail percentile
 KEEP_SAMPLED = "sampled"    # residual random keep (TailRules.keep_fraction)
-
-
-def _percentile(values: Sequence[float], fraction: float) -> float:
-    """Ceil-based nearest-rank percentile; 0.0 for an empty sample."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = min(len(ordered) - 1,
-               max(0, math.ceil(fraction * len(ordered)) - 1))
-    return ordered[rank]
 
 
 @dataclass(frozen=True)
@@ -273,7 +263,6 @@ class RequestTracer:
         # bucket, which caps it at buckets x histograms).
         self._pinned: Dict[str, _Trace] = {}
         # Seeded reservoir of root latencies backing the "slow" rule.
-        from repro.obs.metrics import Reservoir
         self._latencies = Reservoir(size=256, seed=seed + 1)
         self._latency_count = 0
         self._requests = 0
@@ -379,8 +368,8 @@ class RequestTracer:
             return KEEP_EXEMPLAR if KEEP_EXEMPLAR in trace.marks \
                 else KEEP_MARKED
         if (self._latency_count >= rules.min_latency_samples
-                and trace.latency >= _percentile(self._latencies.values(),
-                                                 rules.latency_quantile)):
+                and trace.latency >= percentile(self._latencies.values(),
+                                                rules.latency_quantile)):
             return KEEP_SLOW
         if rules.keep_fraction > 0.0 \
                 and self._rng.random() < rules.keep_fraction:

@@ -5,7 +5,9 @@
 threads (closed loop: each thread issues its next request only after
 the previous one resolved), and returns a :class:`LoadReport` with
 per-outcome counts, latency percentiles, throughput, and the breaker's
-state transitions.
+state transitions.  The cluster harness
+(:func:`repro.cluster.loadgen.run_cluster_load`) returns the same
+report, with a per-shard breakdown and phase checkpoints.
 
 Keys are dealt round-robin across threads, so with ``threads=1`` the
 replay is exactly the input order -- which is how the deterministic
@@ -23,14 +25,13 @@ measured before exiting with code 130.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.clock import VirtualClock
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, OutcomeMetrics, percentile
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.service.overload import (
     AdmissionQueue,
@@ -52,42 +53,59 @@ class LoadInterrupted(KeyboardInterrupt):
         self.report = report
 
 
-def percentile(values: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile of *values* (0.0 for an empty input).
+#: Outcomes that delivered a value to the caller (``replica_hit`` only
+#: occurs in a cluster).
+SERVED = ("hit", "miss", "replica_hit", "stale")
 
-    Standard ceil-based nearest-rank: the p-th percentile of N sorted
-    samples is the value at 1-indexed rank ``ceil(p * N)`` (and the
-    minimum for p = 0).  The previous ``round()``-based rank used
-    banker's rounding, so ties at ``.5`` resolved to the even rank --
-    p50 of ``[1, 2]`` came out as 1 while p50 of ``[1, 2, 3, 4]`` came
-    out as 3, an inconsistency the boundary tests now pin down.
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(1, math.ceil(fraction * len(ordered)))
-    return ordered[rank - 1]
+#: Outcomes answered from a cache copy rather than the backend.
+CACHE_SERVED = ("hit", "replica_hit", "stale")
 
 
 @dataclass
 class LoadReport:
-    """Everything one load run measured."""
+    """Everything one closed-loop load run measured.
+
+    Built from a serving layer's metrics view (:meth:`from_metrics`):
+    ``outcomes`` and ``events`` split its snapshot into the outcome
+    counts and the layer's event counters (``coalesced``,
+    ``fetch_attempts``, ... for a service; ``front_hits``,
+    ``replications``, ... for a cluster).  Cluster runs also carry the
+    per-shard snapshots in ``shards`` and any phase ``checkpoints``.
+    """
 
     requests: int
     outcomes: Dict[str, int]
-    coalesced: int
-    fetch_attempts: int
-    fetch_failures: int
+    events: Dict[str, int]
     latency_p50: float
     latency_p90: float
     latency_p99: float
     elapsed: float                 # wall seconds (real clock)
     threads: int
-    breaker_transitions: List[Tuple[float, str, str]] = field(
+    #: shard name -> that shard's metrics snapshot (clusters only)
+    shards: Optional[Dict[str, Dict[str, int]]] = None
+    checkpoints: List[Tuple[float, Dict[str, int]]] = field(
         default_factory=list)
+    #: ``(time, from, to)``; a cluster's entries name the shard second
+    breaker_transitions: List[tuple] = field(default_factory=list)
     interrupted: bool = False
+
+    @classmethod
+    def from_metrics(cls, metrics: OutcomeMetrics, elapsed: float,
+                     threads: int, **extra) -> "LoadReport":
+        """A report of everything *metrics* counted so far."""
+        snap = metrics.snapshot()
+        latencies = metrics.latencies()
+        return cls(
+            requests=snap.pop("requests"),
+            outcomes={name: snap.pop(name) for name in metrics.outcomes},
+            events=snap,
+            latency_p50=percentile(latencies, 0.50),
+            latency_p90=percentile(latencies, 0.90),
+            latency_p99=percentile(latencies, 0.99),
+            elapsed=elapsed,
+            threads=threads,
+            **extra,
+        )
 
     @property
     def throughput(self) -> float:
@@ -96,14 +114,21 @@ class LoadReport:
             return 0.0
         return self.requests / self.elapsed
 
-    @property
-    def availability(self) -> float:
-        """Fraction of requests that got a value (hit, miss or stale)."""
+    def _fraction(self, names: Sequence[str]) -> float:
         if self.requests == 0:
             return 0.0
-        served = (self.outcomes["hit"] + self.outcomes["miss"]
-                  + self.outcomes["stale"])
-        return served / self.requests
+        return sum(self.outcomes.get(name, 0)
+                   for name in names) / self.requests
+
+    @property
+    def availability(self) -> float:
+        """Fraction of requests that got a value (any served outcome)."""
+        return self._fraction(SERVED)
+
+    @property
+    def effective_hit_ratio(self) -> float:
+        """Cache-served fraction: hits + replica hits + stale serves."""
+        return self._fraction(CACHE_SERVED)
 
     def check_accounting(self) -> None:
         """Assert the invariant sum(outcomes) == requests."""
@@ -113,48 +138,76 @@ class LoadReport:
                 f"outcome accounting broken: {accounted} accounted "
                 f"vs {self.requests} requests ({self.outcomes})")
 
+    def phases(self) -> List[Dict[str, int]]:
+        """Per-phase outcome deltas between consecutive checkpoints.
+
+        With checkpoints at ``[t1, t2]`` this yields three dicts --
+        before ``t1``, between ``t1`` and ``t2``, and after ``t2`` (the
+        final phase is measured against the end-of-run totals).
+        """
+        snapshots = [snap for _, snap in self.checkpoints]
+        snapshots.append({**self.outcomes, "requests": self.requests})
+        deltas: List[Dict[str, int]] = []
+        previous: Dict[str, int] = {}
+        for snap in snapshots:
+            deltas.append({name: snap.get(name, 0) - previous.get(name, 0)
+                           for name in (*self.outcomes, "requests")})
+            previous = snap
+        return deltas
+
     def render(self) -> str:
         """Human-readable multi-line summary."""
+        cluster = self.shards is not None
+        events = self.events
         lines = [
             f"requests      : {self.requests} over {self.threads} thread(s)"
+            + (f", {len(self.shards)} shard(s)" if cluster else "")
             + (" [interrupted]" if self.interrupted else ""),
-            f"outcomes      : " + "  ".join(
-                f"{name}={self.outcomes[name]}" for name in OUTCOMES),
-            f"coalesced     : {self.coalesced}",
-            f"backend       : {self.fetch_attempts} fetch(es), "
-            f"{self.fetch_failures} failed",
-            f"availability  : {self.availability:.2%}",
+            "outcomes      : " + "  ".join(
+                f"{name}={count}" for name, count in self.outcomes.items()),
+        ]
+        if cluster:
+            lines.append(
+                f"hot keys      : {events['replications']} replication(s), "
+                f"{events['front_hits']} front-cache hit(s), "
+                f"{events['replica_probes']} replica probe(s)")
+        else:
+            lines += [
+                f"coalesced     : {events['coalesced']}",
+                f"backend       : {events['fetch_attempts']} fetch(es), "
+                f"{events['fetch_failures']} failed",
+            ]
+        lines.append(f"availability  : {self.availability:.2%}")
+        if cluster:
+            lines.append(f"eff hit ratio : {self.effective_hit_ratio:.2%}")
+        lines += [
             f"latency       : p50={self.latency_p50 * 1e3:.3f}ms "
             f"p90={self.latency_p90 * 1e3:.3f}ms "
             f"p99={self.latency_p99 * 1e3:.3f}ms",
             f"elapsed       : {self.elapsed:.3f}s "
             f"({self.throughput:.0f} req/s)",
         ]
-        if self.breaker_transitions:
-            moves = ", ".join(f"{src}->{dst}@{ts:.2f}s"
-                              for ts, src, dst in self.breaker_transitions)
-            lines.append(f"breaker       : {moves}")
+        for name in sorted(self.shards or ()):
+            snap = self.shards[name]
+            lines.append(f"  shard {name:<6}: " + "  ".join(
+                f"{outcome}={snap.get(outcome, 0)}" for outcome in OUTCOMES))
+        if self.breaker_transitions and cluster:
+            lines.append("breakers      : " + ", ".join(
+                f"{shard}:{src}->{dst}@{ts:.2f}s"
+                for ts, shard, src, dst in self.breaker_transitions))
+        elif self.breaker_transitions:
+            lines.append("breaker       : " + ", ".join(
+                f"{src}->{dst}@{ts:.2f}s"
+                for ts, src, dst in self.breaker_transitions))
         return "\n".join(lines)
 
 
 def _report(service: CacheService, elapsed: float, threads: int,
             interrupted: bool) -> LoadReport:
-    snap = service.metrics.snapshot()
-    latencies = service.metrics.latencies()
-    return LoadReport(
-        requests=snap["requests"],
-        outcomes={name: snap[name] for name in OUTCOMES},
-        coalesced=snap["coalesced"],
-        fetch_attempts=snap["fetch_attempts"],
-        fetch_failures=snap["fetch_failures"],
-        latency_p50=percentile(latencies, 0.50),
-        latency_p90=percentile(latencies, 0.90),
-        latency_p99=percentile(latencies, 0.99),
-        elapsed=elapsed,
-        threads=threads,
+    return LoadReport.from_metrics(
+        service.metrics, elapsed, threads,
         breaker_transitions=service.breaker_transitions(),
-        interrupted=interrupted,
-    )
+        interrupted=interrupted)
 
 
 def run_load(
@@ -175,8 +228,8 @@ def run_load(
     every request and samples its registry whenever ``cadence`` clock
     seconds elapsed -- so a run over an injected outage window yields
     windowed outcome curves (hit/stale/error rates over time) rather
-    than end-of-run totals.  Pair it with the same registry the
-    service mirrors its counters into.
+    than end-of-run totals.  Pair it with the service's registry
+    (``service.metrics.registry``).
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -286,5 +339,5 @@ def run_open_load(
     return report
 
 
-__all__ = ["LoadInterrupted", "LoadReport", "percentile", "run_load",
+__all__ = ["SERVED", "LoadInterrupted", "LoadReport", "run_load",
            "run_open_load"]

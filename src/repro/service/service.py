@@ -43,9 +43,9 @@ from repro.core.base import CacheListener, EvictionPolicy
 from repro.exec.clock import Clock, SystemClock
 from repro.exec.retry import NO_RETRY, RetryPolicy
 from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
+    LATENCY_RESERVOIR_SIZE,
     MetricsRegistry,
-    Reservoir,
+    OutcomeMetrics,
 )
 from repro.service.backend import Backend
 from repro.service.breaker import (
@@ -65,10 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.reqtrace import ActiveSpan, RequestTracer, TraceContext
 
 Key = Hashable
-
-#: Per-outcome latency sample size kept by :class:`ServiceMetrics`.
-#: Percentile error at this size is well under the 5% CI diff gates.
-LATENCY_RESERVOIR_SIZE = 4096
 
 HIT = "hit"        # fresh value served from the cache
 MISS = "miss"      # value fetched from the backend (or coalesced onto one)
@@ -181,65 +177,30 @@ class GetResult:
         return self.outcome in (HIT, MISS, STALE)
 
 
-class ServiceMetrics:
-    """Thread-safe per-outcome accounting for one service instance.
+class ServiceMetrics(OutcomeMetrics):
+    """Per-outcome accounting for one service instance.
 
-    With a :class:`~repro.obs.metrics.MetricsRegistry` supplied, every
-    event is mirrored into registry counters and latency histograms
-    (``service_requests_total{outcome=}``,
+    A view over registry metrics: ``service_requests_total{outcome=}``,
     ``service_request_latency_seconds{outcome=}``,
     ``service_coalesced_total``, ``service_fetch_attempts_total``,
-    ``service_fetch_failures_total``, ``service_negative_hits_total``)
-    so the run can be exported via :mod:`repro.obs.export`.  Extra
-    *labels* (e.g. ``{"shard": "s2"}`` from the cluster router) are
-    attached to every mirrored metric, which is how per-shard serving
-    behaviour stays separable in one shared registry.  The raw
-    per-outcome counts stay authoritative; latencies are kept as
-    per-outcome fixed-size :class:`~repro.obs.metrics.Reservoir`
-    samples (seeded, so single-threaded runs are deterministic), which
-    holds memory constant on million-request open-loop runs while the
-    load generator's percentile report still reads raw samples, not
-    buckets.
+    ``service_fetch_failures_total`` and ``service_negative_hits_total``
+    (see :class:`~repro.obs.metrics.OutcomeMetrics`).
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 labels: Optional[Dict[str, str]] = None) -> None:
-        self._lock = threading.Lock()
-        self.counts: Dict[str, int] = {outcome: 0 for outcome in OUTCOMES}
-        self.coalesced = 0
-        self.fetch_attempts = 0
-        self.fetch_failures = 0
-        self.negative_hits = 0
-        self._latencies: Dict[str, Reservoir] = {
-            outcome: Reservoir(LATENCY_RESERVOIR_SIZE, seed=index)
-            for index, outcome in enumerate(OUTCOMES)}
-        self.registry = registry
-        self.labels = dict(labels or {})
-        if registry is not None:
-            extra = self.labels
-            self._obs_requests = {
-                outcome: registry.counter(
-                    "service_requests_total", "Requests by outcome",
-                    outcome=outcome, **extra)
-                for outcome in OUTCOMES}
-            self._obs_latency = {
-                outcome: registry.histogram(
-                    "service_request_latency_seconds",
-                    "Request latency by outcome",
-                    DEFAULT_LATENCY_BUCKETS, outcome=outcome, **extra)
-                for outcome in OUTCOMES}
-            self._obs_coalesced = registry.counter(
-                "service_coalesced_total",
-                "Requests served by another request's fetch", **extra)
-            self._obs_fetch_attempts = registry.counter(
-                "service_fetch_attempts_total", "Backend fetch attempts",
-                **extra)
-            self._obs_fetch_failures = registry.counter(
-                "service_fetch_failures_total", "Failed backend fetches",
-                **extra)
-            self._obs_negative_hits = registry.counter(
-                "service_negative_hits_total",
-                "Requests answered from the negative cache", **extra)
+    prefix = "service"
+    outcomes = OUTCOMES
+    requests_help = "Requests by outcome"
+    latency_help = "Request latency by outcome"
+    events = {
+        "coalesced": ("service_coalesced_total",
+                      "Requests served by another request's fetch"),
+        "fetch_attempts": ("service_fetch_attempts_total",
+                           "Backend fetch attempts"),
+        "fetch_failures": ("service_fetch_failures_total",
+                           "Failed backend fetches"),
+        "negative_hits": ("service_negative_hits_total",
+                          "Requests answered from the negative cache"),
+    }
 
     def record(self, outcome: str, latency: float,
                coalesced: bool, exemplar: Optional[str] = None) -> bool:
@@ -249,73 +210,18 @@ class ServiceMetrics:
         histogram's bucket (see :meth:`Histogram.observe`); returns
         True when it was taken, so the caller can pin that trace.
         """
-        with self._lock:
-            self.counts[outcome] += 1
-            self._latencies[outcome].add(latency)
-            if coalesced:
-                self.coalesced += 1
-        took = False
-        if self.registry is not None:
-            self._obs_requests[outcome].inc()
-            took = self._obs_latency[outcome].observe(latency,
-                                                      exemplar=exemplar)
-            if coalesced:
-                self._obs_coalesced.inc()
-        return took
+        return self._record(outcome, latency,
+                            "coalesced" if coalesced else None, exemplar)
 
     def record_fetch(self, ok: bool) -> None:
         """Account one backend fetch attempt."""
-        with self._lock:
-            self.fetch_attempts += 1
-            if not ok:
-                self.fetch_failures += 1
-        if self.registry is not None:
-            self._obs_fetch_attempts.inc()
-            if not ok:
-                self._obs_fetch_failures.inc()
+        self._count("fetch_attempts")
+        if not ok:
+            self._count("fetch_failures")
 
     def record_negative_hit(self) -> None:
         """Account one request answered from the negative cache."""
-        with self._lock:
-            self.negative_hits += 1
-        if self.registry is not None:
-            self._obs_negative_hits.inc()
-
-    # -- views ---------------------------------------------------------
-    @property
-    def requests(self) -> int:
-        with self._lock:
-            return sum(self.counts.values())
-
-    def count(self, outcome: str) -> int:
-        with self._lock:
-            return self.counts[outcome]
-
-    @property
-    def accounted(self) -> int:
-        """hits + misses + stale + shed + errors (== requests, always)."""
-        return self.requests
-
-    def latencies(self, outcome: Optional[str] = None) -> List[float]:
-        """Sampled latencies, for one outcome or all of them."""
-        with self._lock:
-            if outcome is not None:
-                return self._latencies[outcome].values()
-            merged: List[float] = []
-            for reservoir in self._latencies.values():
-                merged.extend(reservoir.values())
-            return merged
-
-    def snapshot(self) -> Dict[str, int]:
-        """A consistent copy of every counter."""
-        with self._lock:
-            snap = dict(self.counts)
-            snap["requests"] = sum(self.counts.values())
-            snap["coalesced"] = self.coalesced
-            snap["fetch_attempts"] = self.fetch_attempts
-            snap["fetch_failures"] = self.fetch_failures
-            snap["negative_hits"] = self.negative_hits
-            return snap
+        self._count("negative_hits")
 
 
 @dataclass
@@ -367,6 +273,9 @@ class CacheService:
     ``clock`` defaults to the real :class:`~repro.exec.clock.SystemClock`;
     tests inject a :class:`~repro.exec.clock.VirtualClock` and drive
     TTLs, backoffs, outages and breaker cooldowns deterministically.
+    ``registry`` shares a :class:`~repro.obs.metrics.MetricsRegistry`
+    for export; without one the service counts into a private registry
+    (``metrics.registry``).
     """
 
     #: real-time cap on waiting for another request's fetch; a safety
@@ -399,28 +308,25 @@ class CacheService:
         # span timestamps and request latencies agree.
         self.tracer = tracer
         self.metrics = ServiceMetrics(registry, labels=metric_labels)
-        self.limiter: Optional[AIMDLimiter] = (
-            AIMDLimiter(self.config.limiter)
-            if self.config.limiter is not None else None)
+        registry = self.metrics.registry
+        self.limiter: Optional[AIMDLimiter] = None
+        self._limit_gauge = None
+        if self.config.limiter is not None:
+            self.limiter = AIMDLimiter(self.config.limiter)
+            self._limit_gauge = registry.gauge(
+                "service_inflight_limit",
+                "Current adaptive in-flight fetch limit",
+                **self.metrics.labels)
+            self._limit_gauge.set(self.limiter.limit)
         self.retry_budget: Optional[RetryBudget] = (
             RetryBudget(self.config.retry_budget)
             if self.config.retry_budget is not None else None)
-        self.breaker: Optional[CircuitBreaker] = (
-            CircuitBreaker(self.config.breaker, self.clock)
-            if self.config.breaker is not None else None)
-        if registry is not None and self.limiter is not None:
-            limit_gauge = registry.gauge(
-                "service_inflight_limit",
-                "Current adaptive in-flight fetch limit",
-                **(metric_labels or {}))
-            limit_gauge.set(self.limiter.limit)
-            self._limit_gauge = limit_gauge
-        else:
-            self._limit_gauge = None
-        if registry is not None and self.breaker is not None:
+        self.breaker: Optional[CircuitBreaker] = None
+        if self.config.breaker is not None:
+            self.breaker = CircuitBreaker(self.config.breaker, self.clock)
             gauge = registry.gauge("service_breaker_state",
                                    "0=closed, 1=half-open, 2=open",
-                                   **(metric_labels or {}))
+                                   **self.metrics.labels)
             gauge.set(STATE_VALUES[self.breaker.state])
             self.breaker.on_transition = (
                 lambda _old, new, _now: gauge.set(STATE_VALUES[new]))
@@ -594,6 +500,12 @@ class CacheService:
             self._negative.pop(key, None)
             return self._store.pop(key, None) is not None
 
+    def flight_waiters(self, key: Key) -> int:
+        """Requests waiting on *key*'s in-progress fetch (0 if none)."""
+        with self._lock:
+            flight = self._flights.get(key)
+            return flight.waiters if flight is not None else 0
+
     def cached_keys(self) -> List[Key]:
         """A consistent snapshot of the keys holding a stored value."""
         with self._lock:
@@ -716,8 +628,7 @@ class CacheService:
             if self.limiter is not None:
                 now = self.clock.now()
                 self.limiter.on_complete(now - t0, now)
-                if self._limit_gauge is not None:
-                    self._limit_gauge.set(self.limiter.limit)
+                self._limit_gauge.set(self.limiter.limit)
 
     def _attempt_fetch(self, key: Key) -> tuple:
         """One backend fetch attempt; returns ``(value, error-or-None)``.

@@ -1,12 +1,10 @@
 """Shared simulation options: the consolidated knob set for the sim layer.
 
+:class:`SimOptions` is one frozen dataclass holding the knobs
+(``warmup``, ``listeners``, ``fast``, ``min_capacity``, ...) that
 :func:`~repro.sim.simulator.simulate` and
-:func:`~repro.sim.runner.run_sweep` historically grew overlapping
-keyword arguments (``warmup``, ``listeners``, ``fast``,
-``min_capacity``).  :class:`SimOptions` consolidates them into one
-frozen dataclass that both entry points accept as their ``options``
-parameter; the old keywords still work but emit a
-``DeprecationWarning`` (once per keyword per process).
+:func:`~repro.sim.runner.run_sweep` take as their ``options``
+parameter -- the only way to pass them.
 
 ``fast=None`` means "use the subsystem default": ``simulate`` defaults
 to the reference loop (``False``), ``run_sweep`` to the vectorized
@@ -17,9 +15,8 @@ summary counters and timings into (see docs/observability.md).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.core.base import CacheListener
 from repro.obs.metrics import MetricsRegistry
@@ -94,42 +91,4 @@ class SimOptions:
         return default if self.fast is None else self.fast
 
 
-# ----------------------------------------------------------------------
-# Deprecated-keyword plumbing
-# ----------------------------------------------------------------------
-
-_warned: Set[Tuple[str, str]] = set()
-
-
-def warn_deprecated_kwarg(func: str, kwarg: str, replacement: str) -> None:
-    """Emit a ``DeprecationWarning`` for *func(kwarg=...)* once per process."""
-    key = (func, kwarg)
-    if key in _warned:
-        return
-    _warned.add(key)
-    warnings.warn(
-        f"{func}({kwarg}=...) is deprecated; pass {replacement} instead",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-def _reset_deprecation_warnings() -> None:
-    """Forget which deprecation warnings fired (test hook)."""
-    _warned.clear()
-
-
-def reject_mixed_options(func: str, options: object, legacy: dict) -> None:
-    """Raise when both ``options=`` and a legacy keyword were given."""
-    given = sorted(k for k, v in legacy.items() if v is not None)
-    if options is not None and given:
-        raise ValueError(
-            f"{func}() got both options= and legacy keyword(s) "
-            f"{given}; pass one or the other")
-
-
-__all__ = [
-    "SimOptions",
-    "warn_deprecated_kwarg",
-    "reject_mixed_options",
-]
+__all__ = ["SimOptions"]

@@ -23,7 +23,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exec.executor import Task, run_tasks
 from repro.exec.faults import FaultPlan
@@ -34,11 +34,7 @@ from repro.obs.metrics import DEFAULT_DURATION_BUCKETS, MetricsRegistry
 from repro.policies.registry import make, resolve
 from repro.sim.fast.batch import BatchRunner
 from repro.sim.fast.dispatch import has_fast_engine
-from repro.sim.options import (
-    SimOptions,
-    reject_mixed_options,
-    warn_deprecated_kwarg,
-)
+from repro.sim.options import SimOptions
 from repro.sim.simulator import simulate
 from repro.traces.trace import Trace
 
@@ -218,44 +214,25 @@ class SweepResult:
         return self.failures.ok
 
 
-def _resolve_sweep_options(
-    options, min_capacity: Optional[int], fast: Optional[bool],
-) -> SimOptions:
-    """Merge ``run_sweep``'s options with its deprecated keywords."""
-    if isinstance(options, int) and not isinstance(options, bool):
-        # Legacy positional min_capacity: run_sweep(names, traces, sizes, 20).
-        warn_deprecated_kwarg("run_sweep", "min_capacity",
-                              "SimOptions(min_capacity=...)")
-        if min_capacity is not None:
-            raise TypeError("run_sweep() got min_capacity both positionally "
-                            "and by keyword")
-        min_capacity, options = options, None
-    reject_mixed_options("run_sweep", options, {
-        "min_capacity": min_capacity, "fast": fast})
-    if isinstance(options, SimOptions):
-        if options.warmup:
-            raise ValueError("run_sweep does not support warmup")
-        if options.listeners:
-            raise ValueError("run_sweep does not support listeners")
-        return options
-    if options is not None:
+def _sweep_options(options: Optional[SimOptions]) -> SimOptions:
+    """*options*, checked for what ``run_sweep`` supports."""
+    if options is None:
+        return SimOptions()
+    if not isinstance(options, SimOptions):
         raise TypeError(
             f"options must be a SimOptions, got {type(options).__name__}")
-    for kwarg, value in (("min_capacity", min_capacity), ("fast", fast)):
-        if value is not None:
-            warn_deprecated_kwarg("run_sweep", kwarg,
-                                  f"SimOptions({kwarg}=...)")
-    return SimOptions(
-        min_capacity=min_capacity if min_capacity is not None else 10,
-        fast=fast,
-    )
+    if options.warmup:
+        raise ValueError("run_sweep does not support warmup")
+    if options.listeners:
+        raise ValueError("run_sweep does not support listeners")
+    return options
 
 
 def run_sweep(
     policy_names: Sequence[str],
     traces: Iterable[Trace],
     size_fractions: Sequence[float] = (SMALL_FRACTION, LARGE_FRACTION),
-    options: Union[SimOptions, int, None] = None,
+    options: Optional[SimOptions] = None,
     workers: int = 1,
     retry: Optional[RetryPolicy] = None,
     resume: Optional[str] = None,
@@ -263,14 +240,11 @@ def run_sweep(
     checkpoint: bool = False,
     runs_dir=None,
     fault_plan: Optional[FaultPlan] = None,
-    min_capacity: Optional[int] = None,
-    fast: Optional[bool] = None,
 ) -> SweepResult:
     """Run the (policy x trace x size) matrix fault-tolerantly.
 
-    *options* is a :class:`~repro.sim.options.SimOptions`; its
-    ``min_capacity`` and ``fast`` fields replace the deprecated
-    keywords of the same names (which still work but warn).  Policy
+    *options* is a :class:`~repro.sim.options.SimOptions` (its
+    ``min_capacity``, ``fast``, ``metrics``, ... fields).  Policy
     names accept the registry's aliases ("sieve", "clock2", ...) and
     are canonicalised before the matrix is built.
 
@@ -315,7 +289,7 @@ def run_sweep(
     ``trace.json`` (Chrome trace-event JSON, loadable in Perfetto)
     next to the journal.
     """
-    opts = _resolve_sweep_options(options, min_capacity, fast)
+    opts = _sweep_options(options)
     min_capacity = opts.min_capacity
     fast = opts.resolved_fast(True)
     policy_names = [resolve(n).name for n in policy_names]
@@ -459,7 +433,7 @@ def run_matrix(
     policy_names: Sequence[str],
     traces: Iterable[Trace],
     size_fractions: Sequence[float] = (SMALL_FRACTION, LARGE_FRACTION),
-    options: Union[SimOptions, int, None] = None,
+    options: Optional[SimOptions] = None,
     workers: int = 1,
     **sweep_kwargs,
 ) -> List[RunRecord]:
@@ -467,8 +441,7 @@ def run_matrix(
 
     Convenience wrapper over :func:`run_sweep`; extra keyword arguments
     (``retry``, ``resume``, ``run_id``, ``checkpoint``, ``runs_dir``,
-    ``fault_plan``, plus the deprecated ``min_capacity``/``fast``) pass
-    straight through.  On cell failure the remaining records are still
+    ``fault_plan``) pass straight through.  On cell failure the remaining records are still
     returned (graceful degradation) -- use :func:`run_sweep` when the
     caller needs the :class:`~repro.exec.report.FailureReport`.
     """

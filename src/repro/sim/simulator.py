@@ -20,12 +20,8 @@ from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.base import CacheListener, EvictionPolicy, OfflinePolicy
-from repro.sim.options import (
-    SimOptions,
-    reject_mixed_options,
-    warn_deprecated_kwarg,
-)
+from repro.core.base import EvictionPolicy, OfflinePolicy
+from repro.sim.options import SimOptions
 from repro.traces.trace import Trace
 
 
@@ -88,53 +84,15 @@ def _simulate_fast(policy: EvictionPolicy, trace, warmup: int,
     )
 
 
-def _resolve_sim_options(
-    options: Union[SimOptions, int, None],
-    warmup: Optional[int],
-    listeners: Optional[List[CacheListener]],
-    fast: Optional[bool],
-) -> SimOptions:
-    """Merge the ``options`` parameter with the deprecated keywords."""
-    if isinstance(options, int) and not isinstance(options, bool):
-        # Legacy positional warmup: simulate(policy, trace, 5).
-        warn_deprecated_kwarg("simulate", "warmup", "SimOptions(warmup=...)")
-        if warmup is not None:
-            raise TypeError("simulate() got warmup both positionally and "
-                            "by keyword")
-        warmup, options = options, None
-    reject_mixed_options("simulate", options, {
-        "warmup": warmup, "listeners": listeners, "fast": fast})
-    if isinstance(options, SimOptions):
-        return options
-    if options is not None:
-        raise TypeError(
-            f"options must be a SimOptions, got {type(options).__name__}")
-    for kwarg, value in (("warmup", warmup), ("listeners", listeners),
-                         ("fast", fast)):
-        if value is not None:
-            warn_deprecated_kwarg("simulate", kwarg,
-                                  f"SimOptions({kwarg}=...)")
-    return SimOptions(
-        warmup=warmup if warmup is not None else 0,
-        listeners=tuple(listeners) if listeners else (),
-        fast=fast,
-    )
-
-
 def simulate(
     policy: EvictionPolicy,
     trace: Union[Trace, Sequence, Iterable, np.ndarray],
-    options: Union[SimOptions, int, None] = None,
-    warmup: Optional[int] = None,
-    listeners: Optional[List[CacheListener]] = None,
-    fast: Optional[bool] = None,
+    options: Optional[SimOptions] = None,
 ) -> SimResult:
     """Replay *trace* through *policy* and return the hit/miss outcome.
 
     *options* is a :class:`~repro.sim.options.SimOptions` bundling the
-    run configuration.  The individual ``warmup``/``listeners``/``fast``
-    keywords are deprecated shims (a ``DeprecationWarning`` fires once
-    per keyword); mixing them with *options* raises ``ValueError``.
+    run configuration (``warmup``, ``listeners``, ``fast``, ...).
 
     ``warmup`` requests are replayed first and excluded from the
     reported statistics (the cache state they build is kept).
@@ -155,7 +113,10 @@ def simulate(
     cadence: the reference loop ticks the recorder per request, the
     fast path derives the windows from the engine's hit mask post-hoc.
     """
-    opts = _resolve_sim_options(options, warmup, listeners, fast)
+    opts = SimOptions() if options is None else options
+    if not isinstance(opts, SimOptions):
+        raise TypeError(
+            f"options must be a SimOptions, got {type(opts).__name__}")
     warmup = opts.warmup
     listeners = list(opts.listeners)
     fast = opts.resolved_fast(False)

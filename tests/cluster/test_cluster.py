@@ -353,3 +353,42 @@ class TestClusterObservability:
                    for _, shard, _, _ in transitions)
         times = [t for t, _, _, _ in transitions]
         assert times == sorted(times)
+
+
+class TestOneSourceOfTruth:
+    """The metrics views read their counts back from the registry."""
+
+    @staticmethod
+    def counter_key(name, labels):
+        text = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
+        return f"{name}{{{text}}}" if text else name
+
+    def test_private_registries_hold_every_count(self):
+        from repro.cluster import make_cluster_workload, run_cluster_load
+
+        cluster = build_cluster(
+            lambda: LRU(40), shards=4,
+            config=ClusterConfig(replicas=1, hot_key_threshold=3),
+            clock=VirtualClock())
+        cluster.kill("s1", 10.0, 20.0)
+        keys = make_cluster_workload(3000, universe=400, alpha=1.1,
+                                     seed=7).keys
+        report = run_cluster_load(cluster, keys, threads=1, tick=0.01,
+                                  checkpoints=[10.0, 20.0])
+        during = report.phases()[1]
+        assert during["replica_hit"] + during["error"] > 0   # kill felt
+        views = [cluster.metrics] + [shard.metrics
+                                     for shard in cluster.shards.values()]
+        assert len({id(view.registry) for view in views}) == len(views)
+        for view in views:
+            counters = view.registry.counter_values()
+            snap = view.snapshot()
+            for outcome in view.outcomes:
+                key = self.counter_key(f"{view.prefix}_requests_total",
+                                       {"outcome": outcome, **view.labels})
+                assert snap[outcome] == counters[key], (view.labels, key)
+            for event, (name, _help) in view.events.items():
+                key = self.counter_key(name, view.labels)
+                assert snap[event] == counters[key], (view.labels, key)
+            view.check_conservation()
+        assert cluster.metrics.requests == len(keys)

@@ -86,7 +86,7 @@ class TestRunClusterLoad:
         assert report.outcomes["miss"] == 20
         assert report.outcomes["hit"] == 180
         assert report.availability == 1.0
-        assert report.shards == 4
+        assert len(report.shards) == 4
 
     def test_validation(self):
         cluster = virtual_cluster()

@@ -65,6 +65,21 @@ def run_threads(fn, count):
     return results
 
 
+def wait_for_waiters(service, key, count):
+    """Block until *count* requests wait on *key*'s in-flight fetch."""
+    deadline = time.monotonic() + DEADLINE
+    while service.flight_waiters(key) < count:
+        assert time.monotonic() < deadline, "followers never latched on"
+        time.sleep(0)  # yield the GIL; no timed waiting
+
+
+def join_all(*threads):
+    """Join *threads*, failing the test if any is still running."""
+    for thread in threads:
+        thread.join(DEADLINE)
+        assert not thread.is_alive(), "request thread hung (deadlock?)"
+
+
 class TestCoalescing:
     def test_miss_storm_issues_one_backend_fetch(self):
         backend = GateBackend()
@@ -79,23 +94,14 @@ class TestCoalescing:
         leader = threading.Thread(target=hammer, args=(0,), daemon=True)
         leader.start()
         assert backend.entered.wait(DEADLINE)
-        # Wait (yielding, not sleeping) until all followers joined the
-        # flight, then open the gate.
-        flight = service._flights.get("hot")
-        assert flight is not None
+        # Wait until all followers joined the flight, then open the gate.
         pool = [threading.Thread(target=hammer, args=(i,), daemon=True)
                 for i in range(followers)]
         for thread in pool:
             thread.start()
-        deadline = time.monotonic() + DEADLINE
-        while flight.waiters < followers:
-            assert time.monotonic() < deadline, "followers never latched on"
-            time.sleep(0)  # yield the GIL; no timed waiting
+        wait_for_waiters(service, "hot", followers)
         backend.gate.set()
-        leader.join(timeout=DEADLINE)
-        for thread in pool:
-            thread.join(timeout=DEADLINE)
-            assert not thread.is_alive()
+        join_all(leader, *pool)
 
         assert backend.origin.fetch_count("hot") == 1   # single-flight
         snap = service.metrics.snapshot()
@@ -103,6 +109,7 @@ class TestCoalescing:
         assert snap["miss"] == followers + 1            # all share the fetch
         assert snap["coalesced"] == followers
         assert snap["hit"] + snap["miss"] == followers + 1
+        assert service.flight_waiters("hot") == 0       # flight released
 
     def test_coalesced_followers_share_the_leaders_failure(self):
         class FailingGate(GateBackend):
@@ -120,18 +127,13 @@ class TestCoalescing:
             daemon=True)
         leader.start()
         assert backend.entered.wait(DEADLINE)
-        flight = service._flights.get("k")
         follower = threading.Thread(
             target=lambda: results.setdefault("follower", service.get("k")),
             daemon=True)
         follower.start()
-        deadline = time.monotonic() + DEADLINE
-        while flight.waiters < 1:
-            assert time.monotonic() < deadline
-            time.sleep(0)
+        wait_for_waiters(service, "k", 1)
         backend.gate.set()
-        leader.join(DEADLINE)
-        follower.join(DEADLINE)
+        join_all(leader, follower)
         assert results["leader"].outcome == "error"
         assert results["follower"].outcome == "error"
         assert results["follower"].coalesced
@@ -164,7 +166,7 @@ class TestLoadShedding:
         assert not shed.ok
         assert "load shed" in shed.error
         backend.gate.set()
-        leader.join(DEADLINE)
+        join_all(leader)
         assert leader_result["r"].outcome == MISS
         snap = service.metrics.snapshot()
         assert snap["shed"] == 1 and snap["miss"] == 1
@@ -188,7 +190,7 @@ class TestLoadShedding:
         assert result.outcome == STALE
         assert result.value == "value:a"
         backend.gate.set()
-        leader.join(DEADLINE)
+        join_all(leader)
 
     def test_same_key_is_coalesced_not_shed(self):
         # max_inflight caps *distinct* fetches; a second request for
@@ -206,14 +208,9 @@ class TestLoadShedding:
             target=lambda: outcomes.setdefault("follow", service.get("k")),
             daemon=True)
         follower.start()
-        flight = service._flights.get("k")
-        deadline = time.monotonic() + DEADLINE
-        while flight.waiters < 1:
-            assert time.monotonic() < deadline
-            time.sleep(0)
+        wait_for_waiters(service, "k", 1)
         backend.gate.set()
-        leader.join(DEADLINE)
-        follower.join(DEADLINE)
+        join_all(leader, follower)
         assert outcomes["lead"].outcome == MISS
         assert outcomes["follow"].outcome == MISS
         assert outcomes["follow"].coalesced

@@ -9,11 +9,8 @@ from repro.obs import MetricsRegistry, TimeSeriesRecorder
 from repro.policies.lru import LRU
 from repro.service.backend import FaultInjectedBackend, InMemoryBackend
 from repro.service.faults import BackendFaultPlan
-from repro.service.loadgen import (
-    LoadInterrupted,
-    percentile,
-    run_load,
-)
+from repro.obs.metrics import percentile
+from repro.service.loadgen import LoadInterrupted, LoadReport, run_load
 from repro.service.service import CacheService, ServiceConfig
 
 
@@ -183,3 +180,131 @@ class TestTimeseriesSampling:
         assert sum(totals.values()) == len(keys)
         assert totals["service_requests_total{outcome=miss}"] == 3.0
         assert totals["service_requests_total{outcome=hit}"] == 9.0
+
+
+# ----------------------------------------------------------------------
+# One LoadReport for both layers: a single node and a cluster
+# ----------------------------------------------------------------------
+
+def single_node_report(interrupted=False):
+    return LoadReport(
+        requests=10,
+        outcomes={"hit": 4, "miss": 3, "stale": 1, "shed": 1, "error": 1},
+        events={"coalesced": 2, "fetch_attempts": 5, "fetch_failures": 2,
+                "negative_hits": 0},
+        latency_p50=0.001, latency_p90=0.0025, latency_p99=0.004,
+        elapsed=0.5, threads=2,
+        breaker_transitions=[(1.0, "closed", "open"),
+                             (3.5, "open", "half-open")],
+        interrupted=interrupted)
+
+
+def cluster_report(interrupted=False):
+    return LoadReport(
+        requests=10,
+        outcomes={"hit": 3, "miss": 2, "replica_hit": 2, "stale": 1,
+                  "shed": 1, "error": 1},
+        events={"front_hits": 1, "replications": 4, "replica_probes": 3},
+        latency_p50=0.001, latency_p90=0.0025, latency_p99=0.004,
+        elapsed=0.5, threads=2,
+        shards={"s1": {"hit": 1, "miss": 1, "stale": 1, "shed": 0,
+                       "error": 1, "requests": 4},
+                "s0": {"hit": 2, "miss": 1, "stale": 0, "shed": 1,
+                       "error": 0, "requests": 4}},
+        breaker_transitions=[(1.0, "s1", "closed", "open"),
+                             (3.5, "s1", "open", "half-open")],
+        interrupted=interrupted)
+
+
+SINGLE_NODE_TEXT = """\
+requests      : 10 over 2 thread(s) [interrupted]
+outcomes      : hit=4  miss=3  stale=1  shed=1  error=1
+coalesced     : 2
+backend       : 5 fetch(es), 2 failed
+availability  : 80.00%
+latency       : p50=1.000ms p90=2.500ms p99=4.000ms
+elapsed       : 0.500s (20 req/s)
+breaker       : closed->open@1.00s, open->half-open@3.50s"""
+
+CLUSTER_TEXT = """\
+requests      : 10 over 2 thread(s), 2 shard(s) [interrupted]
+outcomes      : hit=3  miss=2  replica_hit=2  stale=1  shed=1  error=1
+hot keys      : 4 replication(s), 1 front-cache hit(s), 3 replica probe(s)
+availability  : 80.00%
+eff hit ratio : 60.00%
+latency       : p50=1.000ms p90=2.500ms p99=4.000ms
+elapsed       : 0.500s (20 req/s)
+  shard s0    : hit=2  miss=1  stale=0  shed=1  error=0
+  shard s1    : hit=1  miss=1  stale=1  shed=0  error=1
+breakers      : s1:closed->open@1.00s, s1:open->half-open@3.50s"""
+
+
+def run_seeded(layer):
+    """A seeded tick-paced run through one node (backend outage) or a
+    4-shard cluster (shard kill, with checkpoints around it)."""
+    from repro.cluster import ClusterConfig, build_cluster, run_cluster_load
+
+    keys = [key % 30 for key in range(600)]
+    if layer == "single":
+        plan = BackendFaultPlan().outage(2.0, 4.0)
+        service = virtual_service(plan, ServiceConfig(
+            ttl=1.0, stale_ttl=10.0), capacity=20)
+        return run_load(service, keys, threads=1, tick=0.01)
+    cluster = build_cluster(
+        lambda: LRU(10), shards=4,
+        config=ClusterConfig(replicas=0), clock=VirtualClock())
+    cluster.kill("s1", 2.0, 4.0)
+    return run_cluster_load(cluster, keys, threads=1, tick=0.01,
+                            checkpoints=[2.0, 4.0])
+
+
+@pytest.mark.parametrize("layer", ["single", "cluster"])
+class TestLoadReportBothLayers:
+    def test_render_matches_the_layer_format(self, layer):
+        report, text = ((single_node_report(True), SINGLE_NODE_TEXT)
+                        if layer == "single"
+                        else (cluster_report(True), CLUSTER_TEXT))
+        assert report.render() == text
+
+    def test_availability_counts_every_served_outcome_present(self, layer):
+        report = run_seeded(layer)
+        report.check_accounting()
+        served = sum(count for name, count in report.outcomes.items()
+                     if name in ("hit", "miss", "replica_hit", "stale"))
+        assert report.requests == 600
+        assert report.availability == served / 600
+        assert report.availability < 1.0          # the fault was felt
+
+    def test_effective_hit_ratio_counts_cache_copies(self, layer):
+        report = run_seeded(layer)
+        from_cache = (report.outcomes["hit"] + report.outcomes["stale"]
+                      + report.outcomes.get("replica_hit", 0))
+        assert report.effective_hit_ratio == from_cache / report.requests
+
+    def test_phases_partition_the_run(self, layer):
+        report = run_seeded(layer)
+        phases = report.phases()
+        assert len(phases) == 1 + len(report.checkpoints)
+        for name in (*report.outcomes, "requests"):
+            assert sum(phase[name] for phase in phases) == (
+                report.requests if name == "requests"
+                else report.outcomes[name])
+
+    def test_report_carries_the_layers_breakdown(self, layer):
+        report = run_seeded(layer)
+        if layer == "single":
+            assert report.shards is None
+            assert set(report.events) == {"coalesced", "fetch_attempts",
+                                          "fetch_failures", "negative_hits"}
+        else:
+            assert sorted(report.shards) == ["s0", "s1", "s2", "s3"]
+            assert set(report.events) == {"front_hits", "replications",
+                                          "replica_probes"}
+
+    def test_accounting_error_raises(self, layer):
+        report = single_node_report() if layer == "single" \
+            else cluster_report()
+        report.check_accounting()
+        report.requests += 1
+        with pytest.raises(AssertionError, match="accounting"):
+            report.check_accounting()

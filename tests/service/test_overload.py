@@ -380,7 +380,7 @@ class TestOpenLoopEngine:
         assert report.outcomes["error"] == report.offered
         assert report.retries_denied > 0
         # Amplification stays near (1 + deposit), nowhere near 4x.
-        attempts = service.metrics.fetch_attempts
+        attempts = service.metrics.snapshot()["fetch_attempts"]
         assert attempts <= report.offered * 1.1 + 2.0 + 1
 
     def test_timeseries_and_registry_mirroring(self):
@@ -432,4 +432,4 @@ class TestServiceIntegration:
         assert len(lat) <= 5 * LATENCY_RESERVOIR_SIZE
         hits = service.metrics.latencies("hit")
         assert len(hits) <= LATENCY_RESERVOIR_SIZE
-        assert service.metrics.counts["hit"] > LATENCY_RESERVOIR_SIZE
+        assert service.metrics.count("hit") > LATENCY_RESERVOIR_SIZE

@@ -9,6 +9,7 @@ time, admission drops).  These tests pin both down on a VirtualClock.
 from __future__ import annotations
 
 import threading
+import time
 
 from repro.exec.clock import VirtualClock
 from repro.exec.retry import NO_RETRY, RetryPolicy
@@ -136,32 +137,47 @@ class TestServiceSpans:
         class GateBackend(Backend):
             def __init__(self):
                 self.origin = InMemoryBackend()
+                self.gate_timed_out = False
 
             def fetch(self, key):
                 entered.set()
-                assert gate.wait(30.0), "test gate never opened"
+                if not gate.wait(30.0):
+                    self.gate_timed_out = True
+                    raise RuntimeError("test gate never opened")
                 return self.origin.fetch(key)
 
+        backend = GateBackend()
         tracer = RequestTracer(sample=1.0, seed=0, tail=KEEP_ALL)
-        service = CacheService(LRU(10), GateBackend(), ServiceConfig(),
+        service = CacheService(LRU(10), backend, ServiceConfig(),
                                tracer=tracer)
-        leader = threading.Thread(target=service.get, args=("hot",),
-                                  daemon=True)
+        results = {}
+
+        def get(role):
+            results[role] = service.get("hot")
+
+        leader = threading.Thread(target=get, args=("leader",), daemon=True)
         leader.start()
-        assert entered.wait(30.0)
-        follower = threading.Thread(target=service.get, args=("hot",),
+        assert entered.wait(30.0), "leader never reached the backend"
+        follower = threading.Thread(target=get, args=("follower",),
                                     daemon=True)
         follower.start()
-        # Deterministic rendezvous: wait until the follower has joined
-        # the flight before releasing the leader.
-        deadline = [30.0]
-        while service.metrics.snapshot()["coalesced"] < 1:
-            deadline[0] -= 0.01
-            assert deadline[0] > 0, "follower never coalesced"
-            threading.Event().wait(0.01)
+        # Deterministic rendezvous: release the leader only once the
+        # follower has joined its flight.
+        deadline = time.monotonic() + 30.0
+        while service.flight_waiters("hot") < 1:
+            assert time.monotonic() < deadline, \
+                "follower never joined the flight"
+            time.sleep(0.001)
         gate.set()
         leader.join(30.0)
         follower.join(30.0)
+        assert not leader.is_alive() and not follower.is_alive(), \
+            "a request thread never finished"
+        assert not backend.gate_timed_out
+        assert results["leader"].outcome == "miss"
+        assert not results["leader"].coalesced
+        assert results["follower"].outcome == "miss"
+        assert results["follower"].coalesced
         traces = {t.trace_id: t for t in tracer.kept}
         assert len(traces) == 2
         followed = next(t for t in traces.values()

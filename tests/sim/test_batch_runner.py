@@ -12,6 +12,7 @@ import pytest
 from repro.analysis.mrc import simulated_mrc
 from repro.policies.registry import make
 from repro.sim.fast.batch import BatchRunner
+from repro.sim.options import SimOptions
 from repro.sim.runner import run_sweep
 from repro.sim.simulator import simulate
 from repro.traces.synthetic import zipf_trace
@@ -72,11 +73,10 @@ def test_plain_list_interned_once_per_runner():
     assert runner._interned is first
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_warmup_passthrough(trace):
     runner = BatchRunner()
     outcome = runner.run("LRU", trace, 64, warmup=500)
-    reference = simulate(make("LRU", 64), trace, warmup=500)
+    reference = simulate(make("LRU", 64), trace, SimOptions(warmup=500))
     assert (outcome.hits, outcome.misses) == (
         reference.hits, reference.misses)
     assert outcome.requests == trace.num_requests - 500
@@ -86,13 +86,12 @@ def test_warmup_passthrough(trace):
 # Integration: the callers routed through the fast path
 # ----------------------------------------------------------------------
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_run_sweep_fast_matches_reference(trace):
     policies = ["FIFO", "LRU", "LIRS"]
     fractions = (0.01, 0.1)
     fast = run_sweep(policies, [trace], size_fractions=fractions)
     slow = run_sweep(policies, [trace], size_fractions=fractions,
-                     fast=False)
+                     options=SimOptions(fast=False))
     assert fast.records == slow.records
     assert fast.ok and slow.ok
     # FIFO and LRU at both sizes ride the fast path; LIRS cannot.
@@ -101,25 +100,22 @@ def test_run_sweep_fast_matches_reference(trace):
     assert fast.resumed == 0
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_simulate_fast_flag_matches_reference(trace):
     for name in ("FIFO", "2-bit-CLOCK", "QD-LP-FIFO"):
-        fast = simulate(make(name, 64), trace, fast=True)
+        fast = simulate(make(name, 64), trace, SimOptions(fast=True))
         slow = simulate(make(name, 64), trace)
         assert (fast.hits, fast.misses) == (slow.hits, slow.misses)
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_simulate_fast_falls_back_for_unsupported(trace):
-    fast = simulate(make("LIRS", 64), trace, fast=True)
+    fast = simulate(make("LIRS", 64), trace, SimOptions(fast=True))
     slow = simulate(make("LIRS", 64), trace)
     assert (fast.hits, fast.misses) == (slow.hits, slow.misses)
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_simulate_fast_leaves_iterators_to_reference_path():
     keys = [1, 2, 1, 3, 1, 2] * 50
-    result = simulate(make("FIFO", 2), iter(keys), fast=True)
+    result = simulate(make("FIFO", 2), iter(keys), SimOptions(fast=True))
     assert result.requests == len(keys)
     reference = simulate(make("FIFO", 2), keys)
     assert (result.hits, result.misses) == (

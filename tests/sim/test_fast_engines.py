@@ -21,6 +21,7 @@ from repro.sim.fast.dispatch import (
     has_fast_engine,
 )
 from repro.sim.fast.intern import intern_trace
+from repro.sim.options import SimOptions
 from repro.sim.simulator import simulate
 
 POLICIES = sorted(FAST_POLICY_NAMES)
@@ -128,9 +129,9 @@ def test_randomized_small_cap_stress(trial):
 def test_warmup_statistics_match_reference(pname, warmup):
     raw = TRACES["zipf"]
     reference = simulate(REGISTRY[pname].factory(137), raw.tolist(),
-                         warmup=warmup)
-    fast = simulate(REGISTRY[pname].factory(137), raw, warmup=warmup,
-                    fast=True)
+                         SimOptions(warmup=warmup))
+    fast = simulate(REGISTRY[pname].factory(137), raw,
+                    SimOptions(warmup=warmup, fast=True))
     assert (fast.hits, fast.misses) == (reference.hits, reference.misses)
     assert fast.requests == len(raw) - warmup
 

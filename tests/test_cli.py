@@ -221,7 +221,8 @@ class TestLoadgenCommand:
                 requests=7,
                 outcomes={"hit": 3, "miss": 4, "stale": 0, "shed": 0,
                           "error": 0},
-                coalesced=0, fetch_attempts=4, fetch_failures=0,
+                events={"coalesced": 0, "fetch_attempts": 4,
+                        "fetch_failures": 0},
                 latency_p50=0.0, latency_p90=0.0, latency_p99=0.0,
                 elapsed=0.1, threads=threads, interrupted=True)
             raise LoadInterrupted(report)
