@@ -2,14 +2,16 @@
 
 Runs a small fixed-seed (policy x size) sweep with the full temporal
 observability stack enabled -- metrics registry, windowed
-:class:`TimeSeriesRecorder`, and :class:`SpanTracer` -- checkpointed
-under a known run id.  The run directory then holds:
+:class:`TimeSeriesRecorder`, and a :class:`RequestTracer` recording the
+sweep as one sweep→cell→attempt trace -- checkpointed under a known
+run id.  The run directory then holds:
 
 * ``journal.jsonl`` -- results + final metrics + timeseries lines,
   the input to ``repro diff`` against the committed baseline at
   ``benchmarks/baselines/obs-smoke/journal.jsonl``;
-* ``trace.json`` -- Chrome trace-event export (validated on write),
-  uploaded as a CI artifact and loadable in ``chrome://tracing``;
+* ``trace.json`` -- the sweep trace as Chrome trace-event JSON
+  (validated on write), uploaded as a CI artifact and loadable in
+  ``chrome://tracing``;
 * ``timeseries.jsonl`` -- the windowed curves as standalone JSONL for
   ``repro timeseries`` without journal access;
 * ``reqtrace.jsonl`` + ``reqtrace.chrome.json`` -- kept request traces
@@ -48,7 +50,7 @@ import numpy as np                                        # noqa: E402
 
 from repro.obs import (                                   # noqa: E402
     MetricsRegistry,
-    SpanTracer,
+    RequestTracer,
     TimeSeriesRecorder,
 )
 from repro.sim.options import SimOptions                  # noqa: E402
@@ -144,7 +146,6 @@ def run_reqtrace_phase(registry: MetricsRegistry):
     regression-gated by ``repro diff`` alongside everything else.
     """
     from repro.exec.clock import VirtualClock
-    from repro.obs import RequestTracer
     from repro.policies.registry import make
     from repro.service import (
         CacheService,
@@ -228,9 +229,11 @@ def main(argv=None) -> int:
 
     registry = MetricsRegistry()
     recorder = TimeSeriesRecorder(registry, cadence=CADENCE)
-    tracer = SpanTracer(registry)
+    # Its own tracer, kept apart from the request-trace phase's: the
+    # sweep trace goes to trace.json, the request traces to the
+    # zero-tolerance reqtrace.jsonl.
     opts = SimOptions(metrics=registry, timeseries=recorder,
-                      tracer=tracer)
+                      tracer=RequestTracer())
 
     # The cluster and reqtrace phases share the registry (their
     # counters ride the journal's metrics line) but not the recorder:

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.exec import ExecOptions
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.span import SpanTracer
+from repro.obs.reqtrace import RequestTracer
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.sim.options import SimOptions
 from repro.sim.runner import SweepResult, run_sweep
@@ -101,7 +101,7 @@ def run_experiment_sweep(
     options: Optional[ExecOptions] = None,
     metrics: Optional[MetricsRegistry] = None,
     timeseries: Optional[TimeSeriesRecorder] = None,
-    tracer: Optional[SpanTracer] = None,
+    tracer: Optional[RequestTracer] = None,
     intern_cache: Optional["InternCache"] = None,
 ) -> SweepResult:
     """Run an experiment's matrix through the fault-tolerant runner.

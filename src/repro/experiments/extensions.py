@@ -24,7 +24,7 @@ from repro.experiments.common import (
     run_experiment_sweep,
     write_result,
 )
-from repro.obs.span import SpanTracer
+from repro.obs.reqtrace import RequestTracer
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.sim.runner import LARGE_FRACTION, SMALL_FRACTION, RunRecord
 
@@ -66,7 +66,7 @@ class ExtensionsResult:
 def run(config: CorpusConfig = QUICK, workers: int = 0,
         options: Optional[ExecOptions] = None,
         timeseries: Optional[TimeSeriesRecorder] = None,
-        tracer: Optional[SpanTracer] = None) -> ExtensionsResult:
+        tracer: Optional[RequestTracer] = None) -> ExtensionsResult:
     """Run the extensions comparison."""
     traces = config.build()
     sweep = run_experiment_sweep(POLICIES, traces, min_capacity=50,

@@ -30,7 +30,7 @@ from repro.experiments.common import (
     run_experiment_sweep,
     write_result,
 )
-from repro.obs.span import SpanTracer
+from repro.obs.reqtrace import RequestTracer
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.policies.lru import LRU
 from repro.sim.profiler import profile
@@ -116,7 +116,7 @@ def _demotion_ages(seed: int = 7) -> Dict[str, float]:
 def run(config: CorpusConfig = QUICK, workers: int = 0,
         options: Optional[ExecOptions] = None,
         timeseries: Optional[TimeSeriesRecorder] = None,
-        tracer: Optional[SpanTracer] = None) -> Fig2Result:
+        tracer: Optional[RequestTracer] = None) -> Fig2Result:
     """Run the Fig. 2 study over the corpus."""
     traces = config.build()
     sweep = run_experiment_sweep(POLICIES, traces, min_capacity=50,

@@ -38,7 +38,7 @@ from repro.experiments.common import (
     run_experiment_sweep,
     write_result,
 )
-from repro.obs.span import SpanTracer
+from repro.obs.reqtrace import RequestTracer
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.policies.registry import SOTA_NAMES
 from repro.sim.runner import LARGE_FRACTION, SMALL_FRACTION, RunRecord
@@ -116,7 +116,7 @@ class Fig5Result:
 def run(config: CorpusConfig = QUICK, workers: int = 0,
         options: Optional[ExecOptions] = None,
         timeseries: Optional[TimeSeriesRecorder] = None,
-        tracer: Optional[SpanTracer] = None) -> Fig5Result:
+        tracer: Optional[RequestTracer] = None) -> Fig5Result:
     """Run the full Fig. 5 matrix and aggregate."""
     traces = config.build()
     sweep = run_experiment_sweep(POLICIES, traces, min_capacity=50,

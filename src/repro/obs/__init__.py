@@ -17,25 +17,31 @@ artifacts that accumulated as the repo grew:
   curves (miss ratio, eviction age, promotion rate, ...) sampled on a
   virtual-time cadence with bounded memory; behind ``repro
   timeseries``.
-* :mod:`repro.obs.span` -- :class:`SpanTracer`, sweep→cell→attempt run
-  tracing exported as Chrome trace-event JSON for
+* :mod:`repro.obs.reqtrace` -- :class:`RequestTracer`, the one span
+  model: per-request distributed tracing with seeded head sampling plus
+  tail-based keep rules (errors, drops, breaker-opens, slow requests),
+  a propagated :class:`TraceContext` joining service / cluster /
+  hierarchy / open-loop spans into one tree, histogram exemplars
+  linking ``repro metrics`` buckets to ``repro trace show``, and
+  sweep→cell→attempt traces of :func:`~repro.sim.runner.run_sweep`;
+  exported as JSONL and as Chrome trace-event JSON for
   ``chrome://tracing``/Perfetto.
-* :mod:`repro.obs.reqtrace` -- :class:`RequestTracer`, per-request
-  distributed tracing: seeded head sampling plus tail-based keep rules
-  (errors, drops, breaker-opens, slow requests), a propagated
-  :class:`TraceContext` joining service / cluster / hierarchy /
-  open-loop spans into one tree, and histogram exemplars linking
-  ``repro metrics`` buckets to ``repro trace show``.
 * :mod:`repro.obs.diff` -- :func:`diff_runs`, cross-run regression
   diffing of journal snapshots and time series; behind ``repro diff``.
 
-Instrumentation is **opt-in** everywhere: pass a
-:class:`MetricsRegistry` to :class:`~repro.service.CacheService`, to
-:func:`~repro.sim.runner.run_sweep` (via
-:class:`~repro.sim.SimOptions`), or attach a :class:`CacheTracer`
-listener to a policy.  Uninstrumented runs pay nothing -- enforced
-within 5 % on the fast-path benchmark by
-``benchmarks/check_obs_overhead.py``.
+Every :class:`~repro.service.CacheService` and
+:class:`~repro.cluster.CacheCluster` counts its outcomes in a
+:class:`MetricsRegistry` -- a private one unless the caller passes a
+shared registry.  Three things are **opt-in**: a shared registry
+(pass one to services, clusters or
+:func:`~repro.sim.runner.run_sweep` via :class:`~repro.sim.SimOptions`
+to read their metrics in one place); histogram exemplars, which need
+a shared registry and a :class:`RequestTracer`; and the tracers
+themselves -- a :class:`RequestTracer` for requests or sweeps, or a
+:class:`CacheTracer` listener attached to a policy.
+``benchmarks/check_obs_overhead.py`` gates only the offline fast path:
+``simulate`` on the vectorized engines with a registry or a time-series
+recorder must stay within 5 % of the uninstrumented replay.
 """
 
 from repro.obs.diff import (
@@ -67,6 +73,7 @@ from repro.obs.metrics import (
     merge_snapshots,
 )
 from repro.obs.reqtrace import (
+    CHROME_TRACE_SCHEMA,
     NOT_SAMPLED,
     ActiveSpan,
     RequestTracer,
@@ -76,11 +83,6 @@ from repro.obs.reqtrace import (
     read_trace_jsonl,
     render_trace_list,
     render_trace_tree,
-)
-from repro.obs.span import (
-    CHROME_TRACE_SCHEMA,
-    Span,
-    SpanTracer,
     validate_chrome_trace,
     validate_json,
 )
@@ -126,8 +128,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "RequestTracer",
-    "Span",
-    "SpanTracer",
     "TailRules",
     "TimeSeriesRecorder",
     "TraceContext",

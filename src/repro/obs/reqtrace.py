@@ -1,13 +1,16 @@
-"""Per-request distributed tracing with tail sampling.
+"""Span-tree tracing with tail sampling: requests and sweeps.
 
-The span tracer in :mod:`repro.obs.span` answers *where the sweep spent
-its time* (sweep -> cell -> attempt); this module answers *what happened
-to one request*.  A :class:`RequestTracer` hands out :class:`ActiveSpan`
-handles at the edge of the request path (the open-loop engine, a bare
-``CacheService.get``, ``CacheCluster.get`` or ``CacheHierarchy.request``)
-and a :class:`TraceContext` -- trace id plus parent span id -- is
-propagated through every layer underneath so child spans nest under the
-caller's span no matter which component created the root.
+A :class:`RequestTracer` records what happened to one request -- or to
+one sweep.  It hands out :class:`ActiveSpan` handles at the edge of the
+work (the open-loop engine, a bare ``CacheService.get``,
+``CacheCluster.get``, ``CacheHierarchy.request``, or
+:func:`~repro.sim.runner.run_sweep`) and a :class:`TraceContext` --
+trace id plus parent span id -- is propagated through every layer
+underneath so child spans nest under the caller's span no matter which
+component created the root.  A sweep is one trace: ``sweep`` at the
+root, a ``cell`` per (trace, policy, size) and, for cells run by the
+fault-tolerant executor, an ``attempt`` per try (a ``fast-fanout``
+span covers fast cells fanned out to worker processes).
 
 Sampling is two-staged, the way production tracers do it:
 
@@ -19,19 +22,22 @@ Sampling is two-staged, the way production tracers do it:
 * **Tail keep rules** -- at root-end, :class:`TailRules` decide whether
   the finished trace is worth retaining: error/shed/dropped outcomes are
   always kept, spans marked mid-flight (breaker-open paths, histogram
-  exemplars) are always kept, and latencies above a percentile of the
-  traffic seen so far are kept.  Everything else is discarded, so the
-  bounded buffer fills with the *interesting* requests.
+  exemplars, sweeps) are always kept, and latencies above a percentile
+  of the traffic seen so far are kept.  Everything else is discarded,
+  so the bounded buffer fills with the *interesting* requests.
 
 All randomness comes from one ``random.Random(seed)`` and all
 timestamps from the shared clock, so a run on a ``VirtualClock`` is
 bit-reproducible and CI can diff the kept traces at zero tolerance.
 
-Exports reuse the PR 5 wire formats: ``write_chrome_trace`` emits the
-same ``chrome://tracing`` event shape as :class:`repro.obs.span.SpanTracer`
-(validated against ``CHROME_TRACE_SCHEMA`` before writing) and
-``write_jsonl`` emits one self-contained JSON object per kept trace for
-the ``repro trace`` CLI.
+Two exports: ``write_jsonl`` emits one self-contained JSON object per
+kept trace for the ``repro trace`` CLI, and ``write_chrome_trace``
+emits ``chrome://tracing`` trace-event JSON (one lane per trace, via
+:func:`chrome_from_rows`), validated before writing against
+:data:`CHROME_TRACE_SCHEMA` by :func:`validate_chrome_trace`, a
+dependency-free mini JSON-Schema checker -- the same check the
+test-suite runs, so a trace that passes the tests is a trace Perfetto
+will load.
 """
 from __future__ import annotations
 
@@ -45,7 +51,6 @@ from random import Random
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.metrics import Reservoir, percentile
-from repro.obs.span import validate_chrome_trace
 
 PathLike = Union[str, Path]
 
@@ -437,6 +442,93 @@ class RequestTracer:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(doc, indent=1), encoding="utf-8")
         return path
+
+
+# ---------------------------------------------------------------------
+# Chrome trace-event JSON schema + dependency-free validator
+# ---------------------------------------------------------------------
+
+#: JSON Schema (draft-ish subset) for the trace-event export.  Kept
+#: declarative so the tests and the CI artifact gate both validate the
+#: real contract Perfetto expects: a top-level ``traceEvents`` array of
+#: events whose ``ph`` is ``X`` (complete, with ``ts``/``dur``) or
+#: ``M`` (metadata).
+CHROME_TRACE_SCHEMA = {
+    "type": "object",
+    "required": ["traceEvents"],
+    "properties": {
+        "traceEvents": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["name", "ph", "pid", "tid", "ts"],
+                "properties": {
+                    "name": {"type": "string"},
+                    "cat": {"type": "string"},
+                    "ph": {"type": "string", "enum": ["X", "M", "B", "E"]},
+                    "ts": {"type": "number", "minimum": 0},
+                    "dur": {"type": "number", "minimum": 0},
+                    "pid": {"type": "integer"},
+                    "tid": {"type": "integer"},
+                    "args": {"type": "object"},
+                },
+            },
+        },
+        "displayTimeUnit": {"type": "string", "enum": ["ms", "ns"]},
+    },
+}
+
+_TYPE_CHECKS = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, (int, float))
+    and not isinstance(v, bool),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "boolean": lambda v: isinstance(v, bool),
+}
+
+
+def validate_json(instance, schema: dict, path: str = "$") -> None:
+    """Validate *instance* against a JSON-Schema subset; raise ValueError.
+
+    Supports the keywords :data:`CHROME_TRACE_SCHEMA` uses -- ``type``,
+    ``required``, ``properties``, ``items``, ``enum``, ``minimum`` --
+    which keeps the repo dependency-free while the schema stays a plain
+    JSON document any external validator accepts too.
+    """
+    expected = schema.get("type")
+    if expected is not None and not _TYPE_CHECKS[expected](instance):
+        raise ValueError(f"{path}: expected {expected}, "
+                         f"got {type(instance).__name__}")
+    if "enum" in schema and instance not in schema["enum"]:
+        raise ValueError(f"{path}: {instance!r} not in {schema['enum']}")
+    if "minimum" in schema and isinstance(instance, (int, float)) \
+            and not isinstance(instance, bool) \
+            and instance < schema["minimum"]:
+        raise ValueError(f"{path}: {instance} < minimum "
+                         f"{schema['minimum']}")
+    if isinstance(instance, dict):
+        for name in schema.get("required", ()):
+            if name not in instance:
+                raise ValueError(f"{path}: missing required key {name!r}")
+        for name, subschema in schema.get("properties", {}).items():
+            if name in instance:
+                validate_json(instance[name], subschema,
+                              f"{path}.{name}")
+    if isinstance(instance, list) and "items" in schema:
+        for i, item in enumerate(instance):
+            validate_json(item, schema["items"], f"{path}[{i}]")
+
+
+def validate_chrome_trace(trace: dict) -> None:
+    """Check *trace* against :data:`CHROME_TRACE_SCHEMA` (+ X-needs-dur)."""
+    validate_json(trace, CHROME_TRACE_SCHEMA)
+    for i, event in enumerate(trace["traceEvents"]):
+        if event["ph"] == "X" and "dur" not in event:
+            raise ValueError(
+                f"$.traceEvents[{i}]: complete ('X') event needs 'dur'")
+
 
 
 # ---------------------------------------------------------------------

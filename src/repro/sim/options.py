@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.core.base import CacheListener
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.span import SpanTracer
+from repro.obs.reqtrace import RequestTracer
 from repro.obs.timeseries import TimeSeriesRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -55,10 +55,11 @@ class SimOptions:
         it per request, the fast path derives windows from the engine's
         hit mask post-hoc, and ``run_sweep`` journals the rows.
     tracer:
-        Optional :class:`~repro.obs.span.SpanTracer`; ``run_sweep``
-        records sweep→cell→attempt spans into it and writes
-        ``trace.json`` (Chrome trace-event JSON) next to the journal
-        when checkpointing.
+        Optional :class:`~repro.obs.reqtrace.RequestTracer`;
+        ``run_sweep`` records the sweep into it as one trace
+        (sweep→cell→attempt spans; counter deltas from ``metrics`` on
+        the sweep span) and writes ``trace.json`` (Chrome trace-event
+        JSON) next to the journal when checkpointing.
     intern_cache:
         Optional :class:`~repro.sim.fast.interncache.InternCache`
         persisting interned traces under ``runs/intern-cache/`` so
@@ -73,7 +74,8 @@ class SimOptions:
     metrics: Optional[MetricsRegistry] = field(default=None, compare=False)
     timeseries: Optional[TimeSeriesRecorder] = field(default=None,
                                                     compare=False)
-    tracer: Optional[SpanTracer] = field(default=None, compare=False)
+    tracer: Optional[RequestTracer] = field(default=None,
+                                            compare=False)
     intern_cache: Optional["InternCache"] = field(default=None,
                                                  compare=False)
 

@@ -20,7 +20,7 @@ analysis layer consumes.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -31,6 +31,7 @@ from repro.exec.journal import Journal
 from repro.exec.report import FailureReport
 from repro.exec.retry import NO_RETRY, RetryPolicy
 from repro.obs.metrics import DEFAULT_DURATION_BUCKETS, MetricsRegistry
+from repro.obs.reqtrace import ActiveSpan
 from repro.policies.registry import make, resolve
 from repro.sim.fast.batch import BatchRunner
 from repro.sim.fast.dispatch import has_fast_engine
@@ -214,6 +215,32 @@ class SweepResult:
         return self.failures.ok
 
 
+@contextmanager
+def _traced(span: Optional[ActiveSpan],
+            registry: Optional[MetricsRegistry]):
+    """Run the block inside *span* (``None``: untraced), then end it.
+
+    With a *registry*, the counter deltas that accrued inside the block
+    land on the span as ``metric_deltas`` (zero deltas omitted); an
+    exception escaping the block is recorded on the span and re-raised.
+    """
+    if span is None:
+        yield
+        return
+    before = registry.counter_values() if registry is not None else None
+    with span:
+        try:
+            yield
+        finally:
+            if before is not None:
+                after = registry.counter_values()
+                deltas = {name: value - before.get(name, 0)
+                          for name, value in after.items()
+                          if value != before.get(name, 0)}
+                if deltas:
+                    span.note(metric_deltas=deltas)
+
+
 def _sweep_options(options: Optional[SimOptions]) -> SimOptions:
     """*options*, checked for what ``run_sweep`` supports."""
     if options is None:
@@ -284,10 +311,13 @@ def run_sweep(
     request/hit/miss curves labelled (policy, trace, size) -- derived
     from the engine's hit mask, so the replay loop is untouched -- and
     the rows are journalled as a ``timeseries`` line; with
-    ``options.tracer`` set, the sweep records nested
-    sweep→cell→attempt spans and, when checkpointing, writes
-    ``trace.json`` (Chrome trace-event JSON, loadable in Perfetto)
-    next to the journal.
+    ``options.tracer`` (a :class:`~repro.obs.reqtrace.RequestTracer`)
+    set, the sweep is recorded as one trace -- a ``sweep`` root marked
+    to survive the tail rules, with ``cell`` and ``attempt`` spans
+    nested under it, and counter deltas from ``options.metrics`` on the
+    sweep and ``fast-fanout`` spans -- and, when checkpointing,
+    ``trace.json`` (Chrome trace-event JSON, loadable in Perfetto) is
+    written next to the journal.
     """
     opts = _sweep_options(options)
     min_capacity = opts.min_capacity
@@ -334,14 +364,17 @@ def run_sweep(
         cells_total["resumed"].inc(len(completed))
 
     tracer = opts.tracer
-    sweep_span = (tracer.span(
-        "sweep", cat="sweep", policies=list(policy_names),
-        traces=[t.name for t in trace_list], sizes=fractions)
-        if tracer is not None else nullcontext())
+    sweep = None
+    if tracer is not None:
+        sweep = tracer.start("sweep", policies=list(policy_names),
+                             traces=[t.name for t in trace_list],
+                             sizes=fractions)
+        if sweep is not None:
+            sweep.mark("sweep")
 
     accelerated = 0
     try:
-        with sweep_span:
+        with _traced(sweep, registry):
             fast_todo = [task for task in tasks
                          if task.key not in completed
                          and has_fast_engine(task.payload[1])]
@@ -353,11 +386,10 @@ def run_sweep(
                 # metrics/spans stay reserved for genuine exec cells --
                 # the fast phase gets one enclosing span and a bulk
                 # counter instead.
-                fanout_span = (tracer.span(
-                    "fast-fanout", cat="sweep", cells=len(fast_todo),
-                    workers=workers) if tracer is not None
-                    else nullcontext())
-                with fanout_span:
+                fanout = (sweep.child("fast-fanout", cells=len(fast_todo),
+                                      workers=workers)
+                          if sweep is not None else None)
+                with _traced(fanout, registry):
                     fast_outcome = run_tasks(
                         fast_todo,
                         partial(_fast_cell_worker, cache=opts.intern_cache),
@@ -373,17 +405,17 @@ def run_sweep(
             elif fast and fault_plan is None:
                 for task in fast_todo:
                     started = time.perf_counter()
-                    cell_start = tracer.now() if tracer is not None else 0.0
+                    cell_start = tracer.now() if sweep is not None else 0.0
                     record = _fast_cell(task.payload, opts.timeseries,
                                         opts.intern_cache)
                     if record is None:
                         continue
                     completed[task.key] = record
                     accelerated += 1
-                    if tracer is not None:
+                    if sweep is not None:
                         trace_name, policy_name, fraction = task.key
-                        tracer.add_span(
-                            "cell", cell_start, tracer.now(), cat="cell",
+                        sweep.add_span(
+                            "cell", cell_start, tracer.now(),
                             trace=trace_name, policy=policy_name,
                             size=fraction, path="fast")
                     if registry is not None:
@@ -402,7 +434,7 @@ def run_sweep(
                 fault_plan=fault_plan,
                 encode=_record_to_json,
                 registry=registry,
-                tracer=tracer,
+                span=sweep,
             )
         if cells_total is not None:
             cells_total["exec"].inc(outcome.executed - len(outcome.failures))
@@ -411,7 +443,7 @@ def run_sweep(
                 journal.record_metrics(registry.snapshot())
             if opts.timeseries is not None:
                 journal.record_timeseries(opts.timeseries.to_rows())
-            if tracer is not None:
+            if sweep is not None:
                 tracer.write_chrome_trace(journal.directory / "trace.json")
     finally:
         if journal is not None:

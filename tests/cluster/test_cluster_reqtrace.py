@@ -12,6 +12,7 @@ from repro.exec.clock import VirtualClock
 from repro.cluster import ClusterConfig, build_cluster
 from repro.obs.reqtrace import RequestTracer, TailRules
 from repro.policies.lru import LRU
+from tests.conftest import well_formed_rows
 
 KEEP_ALL = TailRules(keep_fraction=1.0)
 
@@ -48,6 +49,7 @@ class TestClusterSpans:
         (service,) = names["service.get"]
         assert service["parent_id"] == root["span_id"]
         assert service["args"]["shard"] == result.shard
+        well_formed_rows(tracer)
 
     def test_unsampled_requests_leave_shards_dark(self):
         cluster, tracer, _clock = build_traced_cluster(sample=0.0)
@@ -78,6 +80,7 @@ class TestClusterSpans:
         if "failover" in root["args"]:
             assert root["args"]["failover"] != primary
         assert root["args"]["served_by"] != primary
+        well_formed_rows(tracer)
 
     def test_engine_ctx_joins_cluster_and_shard_spans(self):
         cluster, tracer, _clock = build_traced_cluster()
@@ -90,6 +93,7 @@ class TestClusterSpans:
         (cluster_span,) = names["cluster.get"]
         assert cluster_span["parent_id"] == \
             names["request"][0]["span_id"]
+        well_formed_rows(tracer)
 
     def test_untraced_cluster_unchanged(self):
         clock = VirtualClock()

@@ -8,6 +8,7 @@ spans are instantaneous markers: what matters is the request *shape*.
 from repro.hierarchy import CacheHierarchy, dram_flash_config
 from repro.hierarchy.tier import ADMITTED
 from repro.obs.reqtrace import RequestTracer, TailRules
+from tests.conftest import well_formed_rows
 
 KEEP_ALL = TailRules(keep_fraction=1.0)
 
@@ -36,6 +37,7 @@ class TestHierarchySpans:
         assert all(p["args"]["hit"] is False for p in probes)
         root = spans_by_name(trace)["hierarchy.request"][0]
         assert root["args"]["outcome"] == "miss"
+        well_formed_rows(tracer)
 
     def test_hit_stops_probing_and_names_the_serving_tier(self):
         hierarchy, tracer = traced_hierarchy(dram_policy="fifo")
@@ -50,6 +52,7 @@ class TestHierarchySpans:
         root = names["hierarchy.request"][0]
         assert root["args"]["outcome"] == "flash"
         assert root["args"]["promoted_to"] == "dram"
+        well_formed_rows(tracer)
 
     def test_demotion_spans_carry_admission_verdicts(self):
         hierarchy, tracer = traced_hierarchy(dram_policy="fifo")
@@ -60,6 +63,7 @@ class TestHierarchySpans:
         assert demote["args"]["tier"] == "flash"
         assert demote["args"]["verdict"] == ADMITTED
         assert demote["args"]["key"] == "'a'"
+        well_formed_rows(tracer)
 
     def test_last_tier_eviction_leaves_the_hierarchy(self):
         hierarchy, tracer = traced_hierarchy(dram=300, flash=300,
@@ -73,6 +77,7 @@ class TestHierarchySpans:
                    and span["args"]["verdict"] == "evicted"]
         assert evicted, "no final-tier eviction span recorded"
         assert all(span["args"]["tier"] == "flash" for span in evicted)
+        well_formed_rows(tracer)
 
     def test_ctx_joins_an_outer_trace(self):
         hierarchy, tracer = traced_hierarchy()
@@ -83,6 +88,7 @@ class TestHierarchySpans:
         names = spans_by_name(trace)
         assert names["hierarchy.request"][0]["parent_id"] == \
             names["request"][0]["span_id"]
+        well_formed_rows(tracer)
 
     def test_tracing_does_not_change_counters(self):
         def replay(traced):

@@ -6,12 +6,14 @@ exactly the property the CI smoke baseline relies on.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.exec.clock import VirtualClock
 from repro.obs import MetricsRegistry
 from repro.obs.reqtrace import (
+    CHROME_TRACE_SCHEMA,
     KEEP_EXEMPLAR,
     KEEP_MARKED,
     KEEP_OUTCOME,
@@ -25,8 +27,10 @@ from repro.obs.reqtrace import (
     read_trace_jsonl,
     render_trace_list,
     render_trace_tree,
+    validate_chrome_trace,
+    validate_json,
 )
-from repro.obs.span import validate_chrome_trace
+from tests.conftest import assert_trace_well_formed
 
 
 def make_tracer(**kw):
@@ -269,6 +273,14 @@ class TestExports:
         assert any(line.startswith("    - service.get")
                    for line in lines)
 
+    def test_obs_smoke_baseline_traces_are_well_formed(self):
+        baseline = (Path(__file__).resolve().parents[2] / "benchmarks"
+                    / "baselines" / "obs-smoke" / "reqtrace.jsonl")
+        rows = read_trace_jsonl(baseline)
+        assert len(rows) == 227
+        for row in rows:
+            assert_trace_well_formed(row)
+
 
 class TestRegistryCounters:
     def test_reqtrace_counters_flow_to_registry(self):
@@ -287,3 +299,37 @@ class TestRegistryCounters:
         assert values[("reqtrace_discarded_total", base)] == 1
         assert values[("reqtrace_kept_total",
                        (("policy", "LRU"), ("reason", "outcome")))] == 1
+
+
+class TestValidator:
+    def test_missing_required_key(self):
+        with pytest.raises(ValueError, match="traceEvents"):
+            validate_chrome_trace({})
+
+    def test_wrong_type(self):
+        with pytest.raises(ValueError, match="expected array"):
+            validate_json({"traceEvents": "nope"}, CHROME_TRACE_SCHEMA)
+
+    def test_enum_violation(self):
+        bad = {"traceEvents": [
+            {"name": "e", "ph": "Z", "pid": 1, "tid": 0, "ts": 0}]}
+        with pytest.raises(ValueError, match="not in"):
+            validate_json(bad, CHROME_TRACE_SCHEMA)
+
+    def test_minimum_violation(self):
+        bad = {"traceEvents": [
+            {"name": "e", "ph": "M", "pid": 1, "tid": 0, "ts": -1}]}
+        with pytest.raises(ValueError, match="minimum"):
+            validate_json(bad, CHROME_TRACE_SCHEMA)
+
+    def test_bool_is_not_an_integer(self):
+        bad = {"traceEvents": [
+            {"name": "e", "ph": "M", "pid": True, "tid": 0, "ts": 0}]}
+        with pytest.raises(ValueError, match="expected integer"):
+            validate_json(bad, CHROME_TRACE_SCHEMA)
+
+    def test_complete_event_requires_dur(self):
+        bad = {"traceEvents": [
+            {"name": "e", "ph": "X", "pid": 1, "tid": 0, "ts": 0}]}
+        with pytest.raises(ValueError, match="dur"):
+            validate_chrome_trace(bad)

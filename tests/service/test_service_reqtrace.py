@@ -35,6 +35,7 @@ from repro.service.overload import (
     StepArrivals,
 )
 from repro.service.service import ERROR, CacheService, ServiceConfig
+from tests.conftest import well_formed_rows
 
 KEEP_ALL = TailRules(keep_fraction=1.0)
 
@@ -70,6 +71,7 @@ class TestServiceSpans:
             (root,) = spans_by_name(trace)["service.get"]
             assert root["args"]["key"] == "'a'"
             assert root["args"]["outcome"] == trace.outcome
+        well_formed_rows(tracer)
 
     def test_miss_records_fetch_child_span(self):
         service, tracer = build_traced_service()
@@ -79,6 +81,7 @@ class TestServiceSpans:
         assert fetch["args"]["attempt"] == 1
         root = spans_by_name(trace)["service.get"][0]
         assert fetch["parent_id"] == root["span_id"]
+        well_formed_rows(tracer)
 
     def test_retry_attempts_become_spans_and_notes(self):
         plan = BackendFaultPlan().fail("a", call=1)
@@ -93,6 +96,7 @@ class TestServiceSpans:
         assert "error" in fetches[0]["args"]
         root = spans_by_name(trace)["service.get"][0]
         assert root["args"]["retries"] == 1
+        well_formed_rows(tracer)
 
     def test_breaker_open_marks_the_trace(self):
         plan = BackendFaultPlan()
@@ -116,6 +120,7 @@ class TestServiceSpans:
         rejected = spans_by_name(traces[2])["service.get"][0]
         assert rejected["args"]["breaker"] == "open"
         assert "breaker-open" in traces[2].marks
+        well_formed_rows(tracer)
 
     def test_negative_cache_annotated(self):
         plan = BackendFaultPlan().fail("ghost")
@@ -129,6 +134,7 @@ class TestServiceSpans:
             "negative_cached"] is True
         assert spans_by_name(second)["service.get"][0]["args"][
             "negative_cache"] is True
+        well_formed_rows(tracer)
 
     def test_followers_link_to_the_leaders_trace(self):
         gate = threading.Event()
@@ -186,6 +192,7 @@ class TestServiceSpans:
         led = next(t for t in traces.values() if t is not followed)
         root = spans_by_name(followed)["service.get"][0]
         assert root["args"]["leader_trace"] == led.trace_id
+        well_formed_rows(tracer)
 
     def test_untraced_service_unchanged(self):
         clock = VirtualClock()
@@ -213,6 +220,7 @@ class TestExemplars:
         assert exemplar_ids                      # first-wins per bucket
         kept_ids = {row["trace_id"] for row in tracer._rows()}
         assert exemplar_ids <= kept_ids          # no dangling exemplars
+        well_formed_rows(tracer)
 
 
 class TestEngineRoots:
@@ -250,6 +258,7 @@ class TestEngineRoots:
         # engine never traces queue-full sheds -- so the request count
         # is bounded by what the schedule offered.
         assert 0 < tracer.summary()["requests"] <= report.offered
+        well_formed_rows(tracer)
 
     def test_deadline_drops_keep_dropped_roots(self):
         report, tracer = self.run_overloaded(deadline=0.05)
@@ -260,6 +269,7 @@ class TestEngineRoots:
             (wait,) = spans_by_name(trace)["queue.wait"]
             assert wait["args"]["reason"] == "deadline"
             assert trace.keep == KEEP_OUTCOME
+        well_formed_rows(tracer)
 
     def test_traced_run_matches_untraced_results(self):
         def run(traced):

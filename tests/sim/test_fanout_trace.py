@@ -1,10 +1,11 @@
 """Span integrity when fast cells fan out across worker processes.
 
 With ``workers > 1`` the fast phase runs in subprocesses while the
-parent's :class:`SpanTracer` records the enclosing ``fast-fanout``
-span.  These tests pin down that the exported ``trace.json`` stays a
-valid Chrome trace with globally unique span ids -- i.e. the fan-out
-never hands two spans the same id or corrupts the document.
+parent's :class:`RequestTracer` records the enclosing ``fast-fanout``
+span.  These tests pin down that the sweep stays one well-formed trace
+and the exported ``trace.json`` a valid Chrome trace with globally
+unique span ids -- i.e. the fan-out never hands two spans the same id
+or corrupts the document.
 """
 
 import json
@@ -12,10 +13,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.obs import SpanTracer, validate_chrome_trace
+from repro.obs import RequestTracer, validate_chrome_trace
 from repro.sim.options import SimOptions
 from repro.sim.runner import run_sweep
 from repro.traces.trace import Trace
+from tests.conftest import well_formed_rows
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +32,7 @@ def traces():
 
 
 def fanout_sweep(traces, tmp_path, workers):
-    opts = SimOptions(fast=True, tracer=SpanTracer())
+    opts = SimOptions(fast=True, tracer=RequestTracer())
     result = run_sweep(["LRU", "FIFO", "SIEVE"], traces,
                        size_fractions=(0.1,), options=opts,
                        workers=workers, checkpoint=True,
@@ -42,14 +44,12 @@ def fanout_sweep(traces, tmp_path, workers):
 class TestFanoutSpanIntegrity:
     def test_span_ids_unique_across_fanout(self, traces, tmp_path):
         tracer, _path = fanout_sweep(traces, tmp_path, workers=2)
-        ids = [span.span_id for span in tracer.spans()]
-        assert len(ids) == len(set(ids))
+        (row,) = well_formed_rows(tracer)   # unique ids, one sweep root
         # The fast phase collapses into one enclosing span that still
         # accounts for every fanned-out cell.
-        (fanout,) = tracer.spans(cat="sweep")[-1:]
-        assert fanout.name == "fast-fanout"
-        assert fanout.args["cells"] == 9
-        assert fanout.args["workers"] == 2
+        (fanout,) = [s for s in row["spans"] if s["name"] == "fast-fanout"]
+        assert fanout["args"]["cells"] == 9
+        assert fanout["args"]["workers"] == 2
 
     def test_chrome_trace_schema_valid_after_fanout(self, traces,
                                                     tmp_path):
