@@ -211,7 +211,7 @@ class FrontCache:
             return len(self._entries)
 
 
-@dataclass
+@dataclass(slots=True)
 class ClusterGetResult:
     """What one cluster request resolved to."""
 
@@ -310,6 +310,9 @@ class _DownWindows:
         self._lock = threading.Lock()
         self._windows: Dict[str, List[Tuple[float, float]]] = {}
         self._manual: Dict[str, bool] = {}
+        # Set once a window or manual flag exists; until then every
+        # shard is up and is_down needs no lock.
+        self._armed = False
 
     def add_window(self, shard: str, start: float, end: float) -> None:
         if end <= start:
@@ -318,12 +321,16 @@ class _DownWindows:
         with self._lock:
             self._windows.setdefault(shard, []).append(
                 (float(start), float(end)))
+            self._armed = True
 
     def set_manual(self, shard: str, down: bool) -> None:
         with self._lock:
             self._manual[shard] = bool(down)
+            self._armed = True
 
     def is_down(self, shard: str, now: float) -> bool:
+        if not self._armed:
+            return False
         with self._lock:
             if self._manual.get(shard, False):
                 return True
@@ -378,9 +385,12 @@ class CacheCluster:
         self._ring_gauge = self.registry.gauge(
             "cluster_ring_nodes", "Shards currently on the ring")
         self._ring_gauge.set(len(self.ring))
-        self._up_gauges: Dict[str, Any] = {}
+        # Last value each cluster_shard_up gauge was set to; written
+        # together with the gauge under _up_lock so the two never part.
+        self._up_values: Dict[str, int] = {}
+        self._up_lock = threading.Lock()
         for name in self.shards:
-            self._up_gauge(name).set(1)
+            self._set_up(name, 1)
 
     # ------------------------------------------------------------------
     # Serving path
@@ -421,6 +431,7 @@ class CacheCluster:
 
         owners = self.ring.owners(key, 1 + self.config.replicas)
         primary, replicas = owners[0], owners[1:]
+        shard = self.shards[primary]
         if span is not None:
             span.note(shard=primary)
 
@@ -431,7 +442,7 @@ class CacheCluster:
         #    backend).  With replication disabled there is nowhere to
         #    go and the arc degrades honestly to errors.
         primary_down = self._shard_down(primary, t0)
-        if primary_down or self.shards[primary].breaker_open:
+        if primary_down or shard.breaker_open:
             if span is not None:
                 if primary_down:
                     span.note(primary_down=True)
@@ -461,7 +472,7 @@ class CacheCluster:
             # degrade deterministically (stale / fast error).
 
         # 3. Normal path: the primary shard serves.
-        result = self.shards[primary].get(key, ctx=child_ctx)
+        result = shard.get(key, ctx=child_ctx)
 
         # 4. Backend failed at the primary: last-ditch replica read.
         if result.outcome == ERROR and replicas:
@@ -475,11 +486,11 @@ class CacheCluster:
         if result.ok and hot:
             if replicas:
                 copies = 0
+                now = self.clock.now()
                 for name in replicas:
-                    if self._shard_down(name, self.clock.now()):
+                    if self._shard_down(name, now):
                         continue
-                    if result.outcome != MISS and \
-                            self.shards[name].peek(key) is not None:
+                    if result.outcome != MISS and self.shards[name].holds(key):
                         continue
                     self.shards[name].put(key, result.value)
                     copies += 1
@@ -517,18 +528,18 @@ class CacheCluster:
 
     def _shard_down(self, name: str, now: float) -> bool:
         down = self._down.is_down(name, now)
-        self._up_gauge(name).set(0 if down else 1)
+        self._set_up(name, 0 if down else 1)
         return down
 
-    def _up_gauge(self, name: str) -> Any:
-        """Shard *name*'s ``cluster_shard_up`` gauge (created once)."""
-        gauge = self._up_gauges.get(name)
-        if gauge is None:
-            gauge = self.registry.gauge(
-                "cluster_shard_up", "1 = shard serving, 0 = down",
-                shard=name)
-            self._up_gauges[name] = gauge
-        return gauge
+    def _set_up(self, name: str, value: int) -> None:
+        """Set shard *name*'s ``cluster_shard_up`` gauge if it changed."""
+        if self._up_values.get(name) == value:
+            return
+        with self._up_lock:
+            self._up_values[name] = value
+            self.registry.gauge("cluster_shard_up",
+                                "1 = shard serving, 0 = down",
+                                shard=name).set(value)
 
     def _finish(self, key: Key, value: Any, outcome: str,
                 shard: Optional[str], t0: float, front: bool = False,
@@ -673,7 +684,7 @@ class CacheCluster:
 
     def _after_membership_change(self, name: str, up: bool) -> None:
         self._ring_gauge.set(len(self.ring))
-        self._up_gauge(name).set(1 if up else 0)
+        self._set_up(name, 1 if up else 0)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -48,8 +48,10 @@ class HashRing:
     """Consistent hashing over named nodes with virtual nodes.
 
     Membership operations (:meth:`add`, :meth:`remove`) rebuild the
-    sorted point list -- O(total vnodes) -- which is vastly cheaper
-    than the key movement they bound, and lookups are one bisect.
+    sorted point list and, for every point, the distinct nodes met
+    walking clockwise from it -- O(total vnodes x nodes), vastly
+    cheaper than the key movement they bound.  A lookup is then one
+    hash, one bisect and one slice.
     """
 
     def __init__(self, nodes: Iterable[str] = (),
@@ -60,8 +62,11 @@ class HashRing:
         self._nodes: List[str] = []
         self._points: List[Tuple[int, str]] = []   # sorted (point, node)
         self._hashes: List[int] = []               # just the points
+        # _walks[i]: distinct nodes clockwise from point i, i's first
+        self._walks: List[Tuple[str, ...]] = []
         for node in nodes:
-            self.add(node)
+            self._join(node)
+        self._rebuild()
 
     # -- membership ----------------------------------------------------
     @property
@@ -77,12 +82,15 @@ class HashRing:
 
     def add(self, node: str) -> None:
         """Join *node* (its vnode points enter the circle)."""
+        self._join(node)
+        self._rebuild()
+
+    def _join(self, node: str) -> None:
         if not node:
             raise ValueError("node name must be non-empty")
         if node in self._nodes:
             raise ValueError(f"node {node!r} is already on the ring")
         self._nodes.append(node)
-        self._rebuild()
 
     def remove(self, node: str) -> None:
         """Leave *node* (its arcs fall to the next shards clockwise)."""
@@ -102,6 +110,20 @@ class HashRing:
         points.sort()
         self._points = points
         self._hashes = [point for point, _ in points]
+        # Walk once around the circle from the last point, then derive
+        # each earlier point's walk from its successor's: its own node
+        # first, then the successor's order without that node.
+        walks: List[Tuple[str, ...]] = [()] * len(points)
+        if points:
+            seen: Dict[str, None] = {}
+            for _, node in points[-1:] + points:
+                seen.setdefault(node)
+            walks[-1] = tuple(seen)
+            for index in range(len(points) - 2, -1, -1):
+                node = points[index][1]
+                walks[index] = (node,) + tuple(
+                    other for other in walks[index + 1] if other != node)
+        self._walks = walks
 
     # -- placement -----------------------------------------------------
     def primary(self, key: Key) -> str:
@@ -117,30 +139,21 @@ class HashRing:
         """
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        if not self._points:
+        if not self._walks:
             raise ValueError("ring has no nodes")
         start = bisect_right(self._hashes, key_point(key))
-        found: List[str] = []
-        total = len(self._points)
-        for step in range(total):
-            node = self._points[(start + step) % total][1]
-            if node not in found:
-                found.append(node)
-                if len(found) == count:
-                    break
-        return found
+        return list(self._walks[start % len(self._walks)][:count])
 
     # -- introspection -------------------------------------------------
     def assignments(self, keys: Sequence[Key]) -> Dict[Key, str]:
         """``key -> primary`` for every key (rebalance accounting)."""
         return {key: self.primary(key) for key in keys}
 
-    def ownership(self, sample: int = 4096) -> Dict[str, float]:
-        """Approximate fraction of the key space owned per node.
+    def ownership(self) -> Dict[str, float]:
+        """Fraction of the key space owned per node.
 
         Measured by arc length between consecutive vnode points, which
-        is exact for the hash circle itself (``sample`` is unused when
-        arc math suffices; kept for API stability).
+        is exact for the hash circle itself.
         """
         if not self._points:
             return {}

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import random
 import threading
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 LabelPairs = Tuple[Tuple[str, str], ...]
@@ -207,11 +208,10 @@ class Histogram(_Metric):
         Returns True when the exemplar was taken -- callers use this to
         pin the corresponding trace in the request tracer's buffer.
         """
-        index = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = i
-                break
+        # First bound >= value; NaN compares false everywhere, so it
+        # goes to +Inf as it would in a linear scan.
+        index = bisect_left(self.bounds, value) if value == value \
+            else len(self.bounds)
         with self._lock:
             self._counts[index] += 1
             self._sum += value
@@ -392,7 +392,7 @@ class Reservoir:
             raise ValueError(f"size must be >= 1, got {size}")
         self.size = size
         self.count = 0           # total observations offered
-        self._rng = random.Random(seed)
+        self._getrandbits = random.Random(seed).getrandbits
         self._values: List[float] = []
 
     def __len__(self) -> int:
@@ -404,7 +404,13 @@ class Reservoir:
         if len(self._values) < self.size:
             self._values.append(value)
             return
-        slot = self._rng.randrange(self.count)
+        # Inlined ``randrange(count)`` (CPython's rejection loop over
+        # ``getrandbits``): the identical draw at less call overhead.
+        count = self.count
+        bits = count.bit_length()
+        slot = self._getrandbits(bits)
+        while slot >= count:
+            slot = self._getrandbits(bits)
         if slot < self.size:
             self._values[slot] = value
 
@@ -458,17 +464,20 @@ class OutcomeMetrics:
                 f"{self.prefix}_requests_total", self.requests_help,
                 outcome=outcome, **self.labels)
             for outcome in self.outcomes}
-        self._latency = {
-            outcome: self.registry.histogram(
-                f"{self.prefix}_request_latency_seconds", self.latency_help,
-                DEFAULT_LATENCY_BUCKETS, outcome=outcome, **self.labels)
-            for outcome in self.outcomes}
         self._events = {
             key: self.registry.counter(name, help, **self.labels)
             for key, (name, help) in self.events.items()}
         self._samples = {
             outcome: Reservoir(LATENCY_RESERVOIR_SIZE, seed=index)
             for index, outcome in enumerate(self.outcomes)}
+        # outcome -> (sample, counter, histogram): one lookup per request
+        self._sinks = {
+            outcome: (self._samples[outcome], self._requests[outcome],
+                      self.registry.histogram(
+                          f"{self.prefix}_request_latency_seconds",
+                          self.latency_help, DEFAULT_LATENCY_BUCKETS,
+                          outcome=outcome, **self.labels))
+            for outcome in self.outcomes}
 
     def _record(self, outcome: str, latency: float, event: Optional[str],
                 exemplar: Optional[str]) -> bool:
@@ -476,13 +485,14 @@ class OutcomeMetrics:
 
         Returns True when the latency histogram took *exemplar*.
         """
+        sample, counter, histogram = self._sinks[outcome]
         # Sample and count under one lock, so check_conservation sees
         # them agree at any quiescent point.
         with self._lock:
-            self._samples[outcome].add(latency)
-            self._requests[outcome].inc()
-        took = self._latency[outcome].observe(
-            latency, exemplar=exemplar if self._exemplars else None)
+            sample.add(latency)
+            counter.inc()
+        took = histogram.observe(
+            latency, exemplar if self._exemplars else None)
         if event is not None:
             self._events[event].inc()
         return took

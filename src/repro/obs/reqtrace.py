@@ -302,6 +302,8 @@ class RequestTracer:
         sampler.  With ``ctx`` it joins the caller's trace -- or stays
         dark if that trace was never sampled (or already finished).
         """
+        if ctx is NOT_SAMPLED:
+            return None
         with self._lock:
             if ctx is not None:
                 trace = self._active.get(ctx.trace_id)

@@ -105,6 +105,17 @@ class CircuitBreaker:
             self._refresh(self.clock.now())
             return self._state
 
+    def is_open(self) -> bool:
+        """Whether the breaker is open now (applying any due move).
+
+        A closed breaker leaves ``closed`` only on a recorded failure,
+        never on time alone, so a closed read needs neither the lock
+        nor the clock.
+        """
+        if self._state == CLOSED:
+            return False
+        return self.state == OPEN
+
     def allow(self) -> bool:
         """Whether a fetch may proceed right now.
 

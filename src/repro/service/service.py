@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional
+from typing import (TYPE_CHECKING, Any, Dict, Hashable, List, Optional,
+                    Tuple)
 
 from repro.core.base import CacheListener, EvictionPolicy
 from repro.exec.clock import Clock, SystemClock
@@ -47,6 +48,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     OutcomeMetrics,
 )
+from repro.obs.reqtrace import NOT_SAMPLED
 from repro.service.backend import Backend
 from repro.service.breaker import (
     STATE_VALUES,
@@ -160,7 +162,7 @@ class ServiceConfig:
                 f"got {type(self.retry_budget).__name__}")
 
 
-@dataclass
+@dataclass(slots=True)
 class GetResult:
     """What one ``get`` resolved to."""
 
@@ -349,7 +351,7 @@ class CacheService:
         """
         t0 = self.clock.now()
         span = None
-        if self.tracer is not None:
+        if self.tracer is not None and ctx is not NOT_SAMPLED:
             span = self.tracer.start("service.get", ctx=ctx, start=t0,
                                      key=repr(key), **self.metrics.labels)
         flight: Optional[_Flight] = None
@@ -436,12 +438,7 @@ class CacheService:
     def contains_fresh(self, key: Key) -> bool:
         """Whether a fresh (non-expired) value for *key* is cached."""
         with self._lock:
-            entry = self._store.get(key)
-            if entry is None or key not in self.policy:
-                return False
-            if self.config.ttl is None:
-                return True
-            return self.clock.now() - entry.fetched_at <= self.config.ttl
+            return self._servable(key, allow_stale=False) is not None
 
     # ------------------------------------------------------------------
     # Replica / cluster hooks
@@ -473,21 +470,21 @@ class CacheService:
         this shard.
         """
         with self._lock:
-            entry = self._store.get(key)
-            if entry is None or key not in self.policy:
-                return None
-            now = self.clock.now()
-            age = now - entry.fetched_at
-            if self.config.ttl is None or age <= self.config.ttl:
-                return GetResult(key=key, value=entry.value, outcome=HIT,
-                                 coalesced=False, latency=0.0)
-            if allow_stale and self.config.stale_ttl > 0:
-                budget = (self.config.ttl or 0.0) + self.config.stale_ttl
-                if age <= budget:
-                    return GetResult(key=key, value=entry.value,
-                                     outcome=STALE, coalesced=False,
-                                     latency=0.0)
+            found = self._servable(key, allow_stale)
+        if found is None:
             return None
+        entry, outcome = found
+        return GetResult(key=key, value=entry.value, outcome=outcome,
+                         coalesced=False, latency=0.0)
+
+    def holds(self, key: Key) -> bool:
+        """Whether :meth:`peek` would find a servable copy of *key*.
+
+        The replica-write check: the same answer without building a
+        result.
+        """
+        with self._lock:
+            return self._servable(key, allow_stale=True) is not None
 
     def invalidate(self, key: Key) -> bool:
         """Drop any cached value for *key*; returns whether one existed.
@@ -514,9 +511,7 @@ class CacheService:
     @property
     def breaker_open(self) -> bool:
         """Whether the circuit breaker currently rejects fetches."""
-        if self.breaker is None:
-            return False
-        return self.breaker.state == "open"
+        return self.breaker is not None and self.breaker.is_open()
 
     def breaker_transitions(self) -> List[tuple]:
         """Breaker state transitions so far (empty without a breaker)."""
@@ -677,6 +672,26 @@ class CacheService:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
+    def _servable(self, key: Key,
+                  allow_stale: bool) -> Optional[Tuple[_Entry, str]]:
+        """*key*'s cached entry and the outcome serving it would have.
+
+        ``hit`` when fresh, ``stale`` when expired but within the
+        serve-stale budget and *allow_stale*; ``None`` when nothing
+        servable is cached.  Caller holds the service lock.
+        """
+        entry = self._store.get(key)
+        if entry is None or key not in self.policy:
+            return None
+        age = self.clock.now() - entry.fetched_at
+        ttl = self.config.ttl
+        if ttl is None or age <= ttl:
+            return entry, HIT
+        if (allow_stale and self.config.stale_ttl > 0
+                and age <= ttl + self.config.stale_ttl):
+            return entry, STALE
+        return None
+
     def _stale_entry(self, key: Key, now: float) -> Optional[_Entry]:
         """The bounded-staleness fallback entry, if serving it is allowed.
 

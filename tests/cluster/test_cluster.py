@@ -246,6 +246,62 @@ class TestFaultDomains:
         assert not cluster.shard_is_down("s0")
 
 
+class TestFastPathsSeeStateChanges:
+    """A cluster that starts with no down windows and a closed breaker
+    skips locks and clock reads on its checks; the first state change
+    must still reach the very next request."""
+
+    @staticmethod
+    def shard_up(registry, shard):
+        return next(row["value"] for row in registry.snapshot()
+                    if row["name"] == "cluster_shard_up"
+                    and row["labels"] == {"shard": shard})
+
+    def test_kill_window_fails_over_and_flips_the_up_gauge(self):
+        clock = VirtualClock()
+        registry = MetricsRegistry()
+        cluster = small_cluster(replicas=1, clock=clock, registry=registry)
+        primary, successor = cluster.ring.owners("k", 2)
+        assert cluster.get("k").shard == primary
+        assert self.shard_up(registry, primary) == 1
+        cluster.kill(primary, 5.0, 10.0)
+        clock.advance(6.0)
+        result = cluster.get("k")
+        assert result.outcome == "miss" and result.shard == successor
+        assert self.shard_up(registry, primary) == 0
+        clock.advance(4.0)
+        assert cluster.get("k").shard == primary
+        assert self.shard_up(registry, primary) == 1
+
+    def test_set_down_reaches_the_next_get(self):
+        registry = MetricsRegistry()
+        cluster = small_cluster(replicas=1, registry=registry)
+        primary, successor = cluster.ring.owners("k", 2)
+        cluster.get("k")
+        cluster.set_down(primary)
+        result = cluster.get("k")
+        assert result.outcome == "miss" and result.shard == successor
+        assert self.shard_up(registry, primary) == 0
+        cluster.set_down(primary, False)
+        assert cluster.get("k").shard == primary
+        assert self.shard_up(registry, primary) == 1
+
+    def test_breaker_trip_and_half_open_after_reset_timeout(self):
+        clock = VirtualClock()
+        cluster = small_cluster(replicas=0, shards=1, clock=clock)
+        shard = cluster.shards["s0"]
+        threshold = shard.config.breaker.failure_threshold
+        for i in range(threshold):
+            cluster.plans["s0"].fail(f"bad{i}")
+        assert not shard.breaker_open
+        for i in range(threshold):
+            assert cluster.get(f"bad{i}").outcome == "error"
+        assert shard.breaker_open
+        clock.advance(shard.config.breaker.reset_timeout)
+        assert not shard.breaker_open
+        assert shard.breaker.state == "half-open"
+
+
 class TestRebalancing:
     def fill(self, cluster, n=400):
         for i in range(n):

@@ -11,6 +11,7 @@ CI) plus an in-test join deadline.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -19,6 +20,7 @@ import pytest
 from repro.policies.lru import LRU
 from repro.policies.registry import make
 from repro.cluster import CLUSTER_OUTCOMES, ClusterConfig, build_cluster
+from repro.obs.metrics import MetricsRegistry
 
 THREADS = 8
 REQUESTS_PER_THREAD = 2000
@@ -117,3 +119,56 @@ class TestClusterStressInvariant:
         hammer_with_kill(cluster, zipf_slices(rng, alpha=1.2))
         cluster.metrics.check_conservation()
         assert cluster.metrics.snapshot()["front_hits"] > 0
+
+
+@pytest.mark.timeout(120)
+def test_shard_up_gauge_settles_on_the_truth_under_toggling():
+    """The up gauge is written only on change; racing writers must not
+    leave it disagreeing with the shard's state once a request has
+    observed that state."""
+    registry = MetricsRegistry()
+    cluster = build_cluster(lambda: LRU(100), shards=SHARDS,
+                            config=ClusterConfig(replicas=1),
+                            registry=registry)
+    victim = "s1"
+    keys = [f"k{i}" for i in range(2000)
+            if cluster.ring.primary(f"k{i}") == victim][:50]
+    stop = threading.Event()
+    errors = []
+
+    def worker():
+        try:
+            while not stop.is_set():
+                for key in keys:
+                    cluster.get(key)
+        except BaseException as exc:
+            errors.append(exc)
+
+    def gauge():
+        return registry.gauge("cluster_shard_up", shard=victim).value
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=worker, daemon=True)
+                for _ in range(THREADS)]
+        for thread in pool:
+            thread.start()
+        deadline = time.monotonic() + JOIN_DEADLINE
+        flips = 0
+        while cluster.metrics.requests < 10_000 \
+                and time.monotonic() < deadline:
+            flips += 1
+            cluster.set_down(victim, flips % 2 == 1)
+        stop.set()
+        for thread in pool:
+            thread.join(timeout=JOIN_DEADLINE)
+        assert not any(thread.is_alive() for thread in pool)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not errors, f"worker raised: {errors[0]!r}"
+    for down in (False, True, False):
+        cluster.set_down(victim, down)
+        cluster.get(keys[0])
+        assert gauge() == (0 if down else 1)
+    cluster.metrics.check_conservation()

@@ -11,6 +11,8 @@ The two invariants the cluster's correctness rests on:
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,6 +124,65 @@ class TestPlacementProperties:
         one, two = HashRing(nodes), HashRing(list(reversed(nodes)))
         for key in keys:
             assert one.primary(key) == two.primary(key)
+
+
+def reference_owners(nodes, vnodes, key, count):
+    """The first *count* distinct nodes met walking clockwise of *key*."""
+    points = sorted((stable_hash(f"node:{node}:vn:{index}"), node)
+                    for node in nodes for index in range(vnodes))
+    start = bisect_right([point for point, _ in points], key_point(key))
+    found = []
+    for step in range(len(points)):
+        node = points[(start + step) % len(points)][1]
+        if node not in found:
+            found.append(node)
+            if len(found) == count:
+                break
+    return found
+
+
+class TestOwnersMatchAClockwiseWalk:
+    """Differential: precomputed walks == a walk around the circle."""
+
+    @given(nodes=st.lists(st.sampled_from(NODE_NAMES), min_size=1,
+                          max_size=8, unique=True),
+           vnodes=st.sampled_from([1, 2, 5, DEFAULT_VNODES]),
+           keys=keys_strategy, extra=st.integers(min_value=0, max_value=2))
+    @settings(max_examples=60, deadline=None)
+    def test_random_memberships(self, nodes, vnodes, keys, extra):
+        ring = HashRing(nodes, vnodes=vnodes)
+        for key in keys[:50]:
+            for count in range(1, len(nodes) + 3):
+                assert ring.owners(key, count) == reference_owners(
+                    nodes, vnodes, key, count)
+        for key in keys[50:]:
+            count = min(1 + extra, len(nodes))
+            assert ring.owners(key, count) == reference_owners(
+                nodes, vnodes, key, count)
+
+    @given(nodes=nodes_strategy, keys=keys_strategy,
+           vnodes=st.sampled_from([1, 3, DEFAULT_VNODES]), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_after_add_and_remove(self, nodes, keys, vnodes, data):
+        ring = HashRing(nodes, vnodes=vnodes)
+        members = list(nodes)
+        joiner = next(name for name in NODE_NAMES if name not in members)
+        ring.add(joiner)
+        members.append(joiner)
+        leaver = data.draw(st.sampled_from(members))
+        ring.remove(leaver)
+        members.remove(leaver)
+        for key in keys[:40]:
+            for count in range(1, len(members) + 3):
+                assert ring.owners(key, count) == reference_owners(
+                    members, vnodes, key, count)
+
+    def test_oversized_count_returns_whole_membership_primary_first(self):
+        ring = HashRing(["a", "b", "c"])
+        for key in range(20):
+            owners = ring.owners(key, 5)
+            assert sorted(owners) == ["a", "b", "c"]
+            assert owners[0] == ring.primary(key)
 
 
 class TestBoundedMovement:

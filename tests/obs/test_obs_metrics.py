@@ -1,5 +1,6 @@
 """MetricsRegistry: identity, thread-safety surface, snapshots, merge."""
 
+import hashlib
 import threading
 
 import pytest
@@ -9,6 +10,7 @@ from repro.obs import (
     exponential_buckets,
     merge_snapshots,
 )
+from repro.obs.metrics import LATENCY_RESERVOIR_SIZE, Reservoir
 
 
 class TestRegistryIdentity:
@@ -66,6 +68,44 @@ class TestHistogram:
 
     def test_exponential_buckets(self):
         assert exponential_buckets(1.0, 2.0, 4) == (1.0, 2.0, 4.0, 8.0)
+
+    @pytest.mark.parametrize("value, bucket", [
+        (1.0, 0), (2.0, 1), (4.0, 2),          # on a bound: that bucket
+        (1.5, 1), (4.000001, 3),               # between / above the last
+        (float("inf"), 3),
+        (0.0, 0), (-3.0, 0), (float("-inf"), 0),
+        (float("nan"), 3),                     # NaN lands in +Inf
+    ])
+    def test_bucket_choice_at_the_edges(self, value, bucket):
+        h = MetricsRegistry().histogram("lat", "", (1.0, 2.0, 4.0))
+        h.observe(value)
+        cumulative = [count for _, count in h.cumulative()]
+        assert cumulative == [0] * bucket + [1] * (4 - bucket)
+
+
+class TestReservoir:
+    """Seeded samples are pinned: load-report percentiles never move."""
+
+    def test_small_reservoir_golden_contents(self):
+        sample = Reservoir(16, seed=7)
+        for value in range(10_000):
+            sample.add(value)
+        assert sample.count == 10_000
+        assert sample.values() == [6209, 8133, 4870, 3308, 32, 1515, 8425,
+                                   5287, 1788, 8889, 9949, 3568, 1288, 1661,
+                                   7043, 8610]
+
+    def test_latency_reservoir_golden_contents(self):
+        sample = Reservoir(LATENCY_RESERVOIR_SIZE, seed=0)
+        for value in range(10_000):
+            sample.add(value)
+        values = sample.values()
+        assert len(values) == LATENCY_RESERVOIR_SIZE
+        assert sum(values) == 20_505_979
+        assert values[:6] == [4292, 7729, 4735, 6345, 6136, 7951]
+        assert hashlib.sha256(repr(values).encode()).hexdigest() == (
+            "7134fa2ae0e80ba0057fa3ea7e095302"
+            "276f12e67074f22f931a4b674627856b")
 
 
 class TestSnapshot:

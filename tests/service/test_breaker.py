@@ -114,6 +114,35 @@ class TestStateMachine:
         ]
 
 
+class TestIsOpen:
+    """The lock-free closed check still sees every state change."""
+
+    def test_closed_reads_need_no_clock(self):
+        class CountingClock(VirtualClock):
+            reads = 0
+
+            def now(self):
+                self.reads += 1
+                return super().now()
+
+        breaker, clock = make_breaker(clock=CountingClock())
+        assert not breaker.is_open()
+        assert clock.reads == 0
+
+    def test_flips_on_trip_and_back_to_half_open_after_cooldown(self):
+        breaker, clock = make_breaker(threshold=2, reset=10.0)
+        breaker.record_failure()
+        assert not breaker.is_open()
+        breaker.record_failure()
+        assert breaker.is_open()
+        clock.advance(9.5)
+        assert breaker.is_open()
+        clock.advance(0.5)
+        assert not breaker.is_open()         # the due move is applied
+        assert breaker.state == HALF_OPEN
+        assert breaker.transitions[-1] == (10.0, OPEN, HALF_OPEN)
+
+
 class TestHalfOpenProbeConcurrency:
     """Races on the half-open probe slots: exactly N winners, ever.
 

@@ -128,6 +128,22 @@ class TestBasicServing:
         assert origin.fetch_count("a") == 2
         assert_accounting(service)
 
+    def test_peek_and_holds_agree_through_freshness_states(self):
+        service, _, clock = build_service(
+            config=ServiceConfig(ttl=10.0, stale_ttl=5.0))
+        assert service.peek("a") is None and not service.holds("a")
+        service.get("a")
+        states = []
+        for advance in (0.0, 10.0, 5.0, 0.5):   # fresh, edge, stale, gone
+            clock.advance(advance)
+            peeked = service.peek("a")
+            states.append(peeked.outcome if peeked else None)
+            fresh = states[-1] == HIT
+            assert service.holds("a") == (peeked is not None)
+            assert service.contains_fresh("a") == fresh
+            assert (service.peek("a", allow_stale=False) is not None) == fresh
+        assert states == [HIT, HIT, STALE, None]
+
     def test_ttl_expiry_triggers_refetch(self):
         service, origin, clock = build_service(
             config=ServiceConfig(ttl=10.0))
