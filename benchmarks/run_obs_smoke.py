@@ -109,8 +109,8 @@ def run_cluster_phase(registry: MetricsRegistry) -> None:
         ClusterConfig,
         build_cluster,
         make_cluster_workload,
-        run_cluster_load,
     )
+    from repro.service import run_load
 
     clock = VirtualClock()
     cluster = build_cluster(
@@ -126,8 +126,8 @@ def run_cluster_phase(registry: MetricsRegistry) -> None:
     workload = make_cluster_workload(CLUSTER_REQUESTS,
                                      universe=CLUSTER_UNIVERSE,
                                      alpha=1.1, seed=SEED)
-    report = run_cluster_load(cluster, workload.keys, threads=1,
-                              tick=CLUSTER_TICK)
+    report = run_load(cluster, workload.keys, threads=1,
+                      tick=CLUSTER_TICK)
     report.check_accounting()
     cluster.metrics.check_conservation()
     print(f"obs smoke cluster: {report.requests} requests, "

@@ -7,7 +7,7 @@ Subcommands::
     repro hierarchy ...             # DRAM->flash->backend tiered replay
     repro corpus ...                # materialise the synthetic corpus
     repro experiment <id> ...       # regenerate a paper table/figure
-    repro loadgen ...               # hammer the cache service layer
+    repro loadgen ...               # hammer a cache service or cluster
     repro metrics ...               # render an observability snapshot
     repro timeseries ...            # windowed curves as sparklines/CSV
     repro trace ...                 # list/show/export kept request traces
@@ -27,6 +27,7 @@ Examples::
     repro metrics --run RUN_ID --select 'sweep_*' --labels path=fast
     repro timeseries --run RUN_ID --select 'sim_misses*'
     repro loadgen --open-loop --trace-sample 0.05 --requests 20000
+    repro loadgen --open-loop --shards 4 --rate 400 --peak-rate 2000
     repro trace list results/loadgen_open_reqtrace.jsonl --slowest 10
     repro trace show results/loadgen_open_reqtrace.jsonl ab12cd
     repro diff baseline-run fresh-run --miss-ratio-tolerance 0.05
@@ -212,7 +213,7 @@ def _exec_options(args: argparse.Namespace):
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments import (
         ablations, extensions, fig2, fig3, fig5, outage, outage_cluster,
-        overload_study, table1, throughput, tiered)
+        overload_study, scalability, table1, throughput, tiered)
 
     config = _TIERS[args.tier]
     try:
@@ -238,6 +239,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         "fig5": lambda: fig5.run(config, workers=args.workers,
                                  options=options),
         "throughput": lambda: throughput.run(),
+        "scalability": lambda: scalability.run(),
         "ablation-probation": lambda: ablations.run_probation_sweep(config),
         "ablation-ghost": lambda: ablations.run_ghost_sweep(config),
         "ablation-clockbits": lambda: ablations.run_clock_bits_sweep(config),
@@ -295,10 +297,37 @@ def _write_trace_outputs(tracer, args: argparse.Namespace,
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
+    """``repro loadgen``: load a service, or a cluster with ``--shards``.
+
+    The target is built once -- one :class:`CacheService`, or a
+    consistent-hash cluster of ``--shards`` of them -- and then driven
+    by one of the two load harnesses:
+
+    * closed loop (default): ``--threads`` workers replay the keys.
+      ``--kill-shard`` switches to single-threaded tick-paced virtual
+      time (the only mode where a kill window is deterministic), takes
+      the named shard down for the middle [0.4, 0.7) of the run and
+      reports the phases around it, mirroring the X3-cluster experiment;
+    * ``--open-loop``: demand comes from an arrival schedule on a
+      deterministic VirtualClock, so offered load can exceed capacity:
+      requests queue in a bounded admission queue, dispatch under a
+      static or AIMD-adaptive concurrency limit, and are dropped
+      (deadline/displacement) or shed (queue full) when the target
+      cannot keep up.  Promotion work is charged on a serialised lock
+      timeline via the service-cost model, which is what makes the
+      hit-ratio-vs-throughput trade-off measurable.
+    """
     import numpy as np
 
+    from repro.cluster import (
+        ClusterConfig,
+        build_cluster,
+        make_cluster_workload,
+    )
+    from repro.exec.clock import VirtualClock
+    from repro.exec.retry import RetryPolicy
     from repro.experiments.common import results_dir, write_result
-    from repro.obs import MetricsRegistry, write_jsonl
+    from repro.obs import MetricsRegistry, TimeSeriesRecorder, write_jsonl
     from repro.policies.registry import make, resolve
     from repro.service import (
         CacheService,
@@ -306,77 +335,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         LoadInterrupted,
         ServiceConfig,
         run_load,
-    )
-    from repro.traces.synthetic import zipf_trace
-
-    try:
-        spec = resolve(args.policy)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
-    registry = MetricsRegistry()
-    if args.open_loop:
-        return _run_open_loadgen(args, spec, registry)
-    if args.shards:
-        return _run_cluster_loadgen(args, spec, registry)
-    try:
-        config = ServiceConfig(ttl=args.ttl, max_inflight=args.max_inflight)
-        capacity = max(spec.min_capacity, int(args.objects * args.size))
-        tracer = _make_request_tracer(args, registry)
-        service = CacheService(make(spec.name, capacity),
-                               InMemoryBackend(), config,
-                               registry=registry, tracer=tracer)
-        if args.requests < 1 or args.threads < 1:
-            raise ValueError("--requests and --threads must be >= 1")
-    except (TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    rng = np.random.default_rng(args.seed)
-    keys = zipf_trace(args.objects, args.requests, args.alpha, rng).tolist()
-    try:
-        report = run_load(service, keys, threads=args.threads)
-    except LoadInterrupted as exc:
-        # Exit-code contract from PR 1: Ctrl-C means 130 -- but flush
-        # the partial metrics first so the run wasn't for nothing.
-        path = write_result("loadgen_partial", exc.report.render())
-        print(f"interrupted; partial metrics written to {path}",
-              file=sys.stderr)
-        return EXIT_INTERRUPT
-    report.check_accounting()
-    print(report.render())
-    write_result("loadgen", report.render())
-    metrics_path = results_dir() / "loadgen_metrics.jsonl"
-    write_jsonl(registry, metrics_path)
-    print(f"metrics snapshot: {metrics_path} "
-          f"(render with `repro metrics {metrics_path}`)", file=sys.stderr)
-    if tracer is not None:
-        _write_trace_outputs(tracer, args, "loadgen")
-    return EXIT_OK
-
-
-def _run_open_loadgen(args: argparse.Namespace, spec, registry) -> int:
-    """``repro loadgen --open-loop``: arrival-driven overload mode.
-
-    Demand comes from an arrival schedule on a deterministic
-    VirtualClock instead of closed-loop worker threads, so offered
-    load can exceed capacity: requests queue in a bounded admission
-    queue, dispatch under a static or AIMD-adaptive concurrency limit,
-    and are dropped (deadline/displacement) or shed (queue full) when
-    the system cannot keep up.  Promotion work is charged on a
-    serialised lock timeline via the service-cost model, which is what
-    makes the hit-ratio-vs-throughput trade-off measurable.
-    """
-    import numpy as np
-
-    from repro.experiments.common import results_dir, write_result
-    from repro.exec.clock import VirtualClock
-    from repro.exec.retry import RetryPolicy
-    from repro.obs import TimeSeriesRecorder, write_jsonl
-    from repro.policies.registry import make
-    from repro.service import (
-        CacheService,
-        InMemoryBackend,
-        ServiceConfig,
         run_open_load,
     )
     from repro.service.overload import (
@@ -390,138 +348,126 @@ def _run_open_loadgen(args: argparse.Namespace, spec, registry) -> int:
     from repro.traces.synthetic import zipf_trace
 
     try:
-        if args.requests < 1:
-            raise ValueError(f"--requests must be >= 1, got {args.requests}")
-        if args.shards:
-            raise ValueError("--open-loop does not combine with --shards "
-                             "yet; use run_open_cluster_load from Python")
-        schedule = make_schedule(
-            args.arrival, rate=args.rate, duration=args.duration,
-            peak_rate=args.peak_rate, burst=args.burst, seed=args.seed)
-        queue = AdmissionQueue(capacity=args.queue,
-                               policy=args.queue_policy,
-                               deadline=args.queue_deadline)
-        limiter = make_limiter(
-            args.limiter, static_limit=args.max_inflight or 8,
-            aimd=AimdConfig(target_delay=args.target_delay))
-        cost = ServiceCostModel(promotion_cost=args.promotion_cost)
+        spec = resolve(args.policy)
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return EXIT_USAGE
+    registry = MetricsRegistry()
+    kill = args.kill_shard
+    try:
+        if args.requests < 1 or (not args.open_loop and args.threads < 1):
+            raise ValueError("--requests and --threads must be >= 1")
+        if args.shards < 0:
+            raise ValueError(
+                f"--shards must be >= 0 (0 = single node), "
+                f"got {args.shards}")
+        if kill and args.shards < 2:
+            raise ValueError("--kill-shard needs at least 2 shards")
+        tick = 0.0
+        if not args.open_loop:
+            tick = (args.tick if args.tick is not None
+                    else (0.01 if kill else 0.0))
+        threads = 1 if tick else args.threads
         retry_budget = (RetryBudgetConfig(deposit=args.retry_budget)
                         if args.retry_budget is not None else None)
         config = ServiceConfig(
             ttl=args.ttl,
+            # open loop: --max-inflight is the dispatch limit instead
+            max_inflight=None if args.open_loop else args.max_inflight,
             retry=(RetryPolicy(max_attempts=3, base_delay=0.01)
                    if retry_budget is not None else ServiceConfig().retry),
             retry_budget=retry_budget,
         )
-        clock = VirtualClock()
-        capacity = max(spec.min_capacity, int(args.objects * args.size))
-        tracer = _make_request_tracer(args, registry, clock=clock)
-        service = CacheService(make(spec.name, capacity),
-                               InMemoryBackend(), config, clock=clock,
-                               registry=registry, tracer=tracer)
-    except (TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    rng = np.random.default_rng(args.seed)
-    keys = zipf_trace(args.objects, args.requests, args.alpha, rng).tolist()
-    recorder = TimeSeriesRecorder(registry, cadence=1.0)
-    report = run_open_load(service, keys, schedule, queue=queue,
-                           limiter=limiter, cost=cost,
-                           timeseries=recorder, registry=registry,
-                           tracer=tracer)
-    report.check_conservation()
-    print(report.render())
-    write_result("loadgen_open", report.render())
-    metrics_path = results_dir() / "loadgen_open_metrics.jsonl"
-    write_jsonl(registry, metrics_path)
-    series_path = results_dir() / "loadgen_open_timeseries.jsonl"
-    recorder.write_jsonl(series_path)
-    print(f"metrics snapshot: {metrics_path}\n"
-          f"windowed series : {series_path} "
-          f"(render with `repro timeseries {series_path}`)",
-          file=sys.stderr)
-    if tracer is not None:
-        _write_trace_outputs(tracer, args, "loadgen_open")
-    return EXIT_OK
-
-
-def _run_cluster_loadgen(args: argparse.Namespace, spec,
-                         registry) -> int:
-    """``repro loadgen --shards N``: drive a sharded cluster instead.
-
-    With ``--kill-shard`` the run switches to single-threaded
-    tick-paced virtual time (the only mode where a kill window is
-    deterministic) and takes the named shard down for the middle
-    [0.4, 0.7) of the run, mirroring the X3-cluster experiment.
-    """
-    from repro.experiments.common import results_dir, write_result
-    from repro.exec.clock import VirtualClock
-    from repro.obs import write_jsonl
-    from repro.policies.registry import make
-    from repro.service import LoadInterrupted
-    from repro.cluster import (
-        ClusterConfig,
-        build_cluster,
-        make_cluster_workload,
-        run_cluster_load,
-    )
-
-    try:
-        if args.requests < 1 or args.threads < 1:
-            raise ValueError("--requests and --threads must be >= 1")
-        if args.shards < 1:
-            raise ValueError(f"--shards must be >= 1, got {args.shards}")
-        if args.kill_shard and args.shards < 2:
-            raise ValueError("--kill-shard needs at least 2 shards")
+        clock = VirtualClock() if args.open_loop or tick else None
         capacity = max(spec.min_capacity,
-                       int(args.objects * args.size / args.shards))
-        config = ClusterConfig(replicas=args.replicas)
-        kill = args.kill_shard
-        tick = args.tick if args.tick is not None else (0.01 if kill else 0.0)
-        threads = 1 if kill else args.threads
-        clock = VirtualClock() if tick else None
+                       int(args.objects * args.size / max(1, args.shards)))
         tracer = _make_request_tracer(args, registry, clock=clock)
-        cluster = build_cluster(
-            lambda: make(spec.name, capacity),
-            shards=args.shards,
-            config=config,
-            clock=clock,
-            registry=registry,
-            tracer=tracer,
-        )
+        if args.shards:
+            target = build_cluster(
+                lambda: make(spec.name, capacity),
+                shards=args.shards,
+                config=ClusterConfig(replicas=args.replicas),
+                service_config=config,
+                clock=clock,
+                registry=registry,
+                tracer=tracer,
+            )
+        else:
+            target = CacheService(make(spec.name, capacity),
+                                  InMemoryBackend(), config, clock=clock,
+                                  registry=registry, tracer=tracer)
         checkpoints = None
         if kill:
-            if kill not in cluster.shards:
+            if kill not in target.shards:
                 raise ValueError(
                     f"--kill-shard must be one of "
-                    f"{', '.join(sorted(cluster.shards))}, got {kill!r}")
-            duration = args.requests * tick
-            cluster.kill(kill, 0.4 * duration, 0.7 * duration)
-            checkpoints = [0.4 * duration, 0.7 * duration]
+                    f"{', '.join(sorted(target.shards))}, got {kill!r}")
+            duration = (args.duration if args.open_loop
+                        else args.requests * tick)
+            window = [0.4 * duration, 0.7 * duration]
+            target.kill(kill, *window)
+            checkpoints = None if args.open_loop else window
+        if args.open_loop:
+            schedule = make_schedule(
+                args.arrival, rate=args.rate, duration=args.duration,
+                peak_rate=args.peak_rate, burst=args.burst,
+                seed=args.seed)
+            queue = AdmissionQueue(capacity=args.queue,
+                                   policy=args.queue_policy,
+                                   deadline=args.queue_deadline)
+            limiter = make_limiter(
+                args.limiter, static_limit=args.max_inflight or 8,
+                aimd=AimdConfig(target_delay=args.target_delay))
+            cost = ServiceCostModel(promotion_cost=args.promotion_cost)
     except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    workload = make_cluster_workload(args.requests, universe=args.objects,
-                                     alpha=max(args.alpha, 0.01),
-                                     seed=args.seed)
-    try:
-        report = run_cluster_load(cluster, workload.keys, threads=threads,
-                                  tick=tick, checkpoints=checkpoints)
-    except LoadInterrupted as exc:
-        path = write_result("loadgen_cluster_partial", exc.report.render())
-        print(f"interrupted; partial metrics written to {path}",
-              file=sys.stderr)
-        return EXIT_INTERRUPT
-    report.check_accounting()
+    if args.shards:
+        keys = make_cluster_workload(
+            args.requests, universe=args.objects,
+            alpha=max(args.alpha, 0.01), seed=args.seed).keys
+    else:
+        rng = np.random.default_rng(args.seed)
+        keys = zipf_trace(args.objects, args.requests, args.alpha,
+                          rng).tolist()
+    stem = ("loadgen" + ("_open" if args.open_loop else "")
+            + ("_cluster" if args.shards else ""))
+    if args.open_loop:
+        recorder = TimeSeriesRecorder(registry, cadence=1.0)
+        report = run_open_load(target, keys, schedule, queue=queue,
+                               limiter=limiter, cost=cost,
+                               timeseries=recorder, registry=registry,
+                               tracer=tracer)
+        report.check_conservation()
+    else:
+        try:
+            report = run_load(target, keys, threads=threads, tick=tick,
+                              checkpoints=checkpoints)
+        except LoadInterrupted as exc:
+            # Ctrl-C exits 130 (the CLI's exit-code contract) -- but
+            # flush the partial metrics first so the run wasn't for
+            # nothing.
+            path = write_result(f"{stem}_partial", exc.report.render())
+            print(f"interrupted; partial metrics written to {path}",
+                  file=sys.stderr)
+            return EXIT_INTERRUPT
+        report.check_accounting()
     print(report.render())
-    write_result("loadgen_cluster", report.render())
-    metrics_path = results_dir() / "loadgen_cluster_metrics.jsonl"
+    write_result(stem, report.render())
+    metrics_path = results_dir() / f"{stem}_metrics.jsonl"
     write_jsonl(registry, metrics_path)
+    labels = " --labels shard=*" if args.shards else ""
     print(f"metrics snapshot: {metrics_path} "
-          f"(render with `repro metrics {metrics_path} "
-          f"--labels shard=*`)", file=sys.stderr)
+          f"(render with `repro metrics {metrics_path}{labels}`)",
+          file=sys.stderr)
+    if args.open_loop:
+        series_path = results_dir() / f"{stem}_timeseries.jsonl"
+        recorder.write_jsonl(series_path)
+        print(f"windowed series : {series_path} "
+              f"(render with `repro timeseries {series_path}`)",
+              file=sys.stderr)
     if tracer is not None:
-        _write_trace_outputs(tracer, args, "loadgen_cluster")
+        _write_trace_outputs(tracer, args, stem)
     return EXIT_OK
 
 
@@ -803,7 +749,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("id", choices=(
         "table1", "fig2", "fig3", "table2", "fig5", "throughput",
         "ablation-probation", "ablation-ghost", "ablation-clockbits",
-        "extensions", "outage", "outage-cluster", "overload", "tiered"))
+        "extensions", "outage", "outage-cluster", "overload", "tiered",
+        "scalability"))
     exp.add_argument("--tier", choices=tuple(_TIERS), default="quick")
     exp.add_argument("--workers", "--jobs", dest="workers", type=int,
                      default=0,
@@ -829,7 +776,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     load = sub.add_parser(
         "loadgen",
-        help="closed-loop load test of the cache service layer")
+        help="closed- or open-loop load test of a cache service "
+             "or cluster")
     load.add_argument("--policy", default="QD-LP-FIFO")
     load.add_argument("--threads", type=int, default=4)
     load.add_argument("--requests", type=int, default=20000)
@@ -849,11 +797,12 @@ def build_parser() -> argparse.ArgumentParser:
                            "(cluster mode only)")
     load.add_argument("--kill-shard", metavar="NAME",
                       help="take this shard down for the middle of the "
-                           "run (cluster mode; forces deterministic "
-                           "tick-paced virtual time)")
+                           "run (needs --shards >= 2; a closed-loop run "
+                           "switches to deterministic tick-paced "
+                           "virtual time)")
     load.add_argument("--tick", type=float, default=None,
                       help="virtual seconds between requests "
-                           "(cluster mode; implies threads=1)")
+                           "(closed loop; implies threads=1)")
     load.add_argument("--max-inflight", type=int, default=None,
                       help="shed misses beyond this many concurrent fetches"
                            " (open-loop: the static dispatch limit)")

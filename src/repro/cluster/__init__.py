@@ -21,11 +21,6 @@ from repro.cluster.cluster import (
     RebalanceReport,
     build_cluster,
 )
-from repro.cluster.loadgen import (
-    SERVED,
-    run_cluster_load,
-    run_open_cluster_load,
-)
 from repro.cluster.ring import (
     DEFAULT_VNODES,
     HashRing,
@@ -33,12 +28,8 @@ from repro.cluster.ring import (
     moved_keys,
     stable_hash,
 )
-from repro.cluster.workload import (
-    ClusterWorkload,
-    make_cluster_workload,
-    pareto_sizes_kb,
-    zipf_ranks,
-)
+from repro.cluster.workload import ClusterWorkload, make_cluster_workload
+from repro.service.loadgen import SERVED
 
 __all__ = [
     "CLUSTER_OUTCOMES",
@@ -58,9 +49,5 @@ __all__ = [
     "key_point",
     "make_cluster_workload",
     "moved_keys",
-    "pareto_sizes_kb",
-    "run_cluster_load",
-    "run_open_cluster_load",
     "stable_hash",
-    "zipf_ranks",
 ]

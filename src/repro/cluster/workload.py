@@ -1,12 +1,13 @@
-"""Cluster-scale synthetic workload: Zipf keys with Pareto sizes.
+"""Cluster-scale synthetic workload: Zipf keys over millions of objects.
 
 The single-node loadgen draws keys from a small Zipf universe; a
 cluster experiment needs the shape production measurements actually
 report (paper §4, and the open-source trace studies it cites): a
-**Zipfian popularity law over millions of objects** with a heavy-tailed
-(bounded Pareto) size distribution.  This module pre-materialises such
-a workload deterministically so every policy/replication arm of an
-experiment replays the identical request stream.
+**Zipfian popularity law over millions of objects**.  This module
+pre-materialises such a workload deterministically so every
+policy/replication arm of an experiment replays the identical request
+stream.  (Object sizes come from :mod:`repro.sized.workloads`, the
+one size generator.)
 
 Keys are drawn lazily per request from the Zipf law but rendered as
 stable strings (``k<rank>``), so a "millions of keys" universe costs
@@ -16,29 +17,21 @@ only the requests actually sampled, not the universe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
-
-#: Pareto size parameters measured on production CDN traces
-#: (shape ~1.16 => infinite variance; scale in KB; capped to keep a
-#: single object from dominating a shard).
-PARETO_SHAPE = 1.16
-PARETO_SCALE_KB = 1.0
-PARETO_CAP_KB = 5000.0
 
 
 @dataclass(frozen=True)
 class ClusterWorkload:
     """An immutable, replayable request stream.
 
-    ``keys[i]`` is the i-th requested key; ``sizes_kb[i]`` its object
-    size.  Both arrays come from one seeded generator, so two workloads
-    built with the same parameters are identical element-for-element.
+    ``keys[i]`` is the i-th requested key.  The keys come from one
+    seeded generator, so two workloads built with the same parameters
+    are identical element-for-element.
     """
 
     keys: List[str]
-    sizes_kb: "np.ndarray"
     universe: int
     alpha: float
     seed: int
@@ -56,8 +49,8 @@ class ClusterWorkload:
                 f"{self.unique_keys} unique touched, seed={self.seed})")
 
 
-def zipf_ranks(rng: "np.random.Generator", count: int, universe: int,
-               alpha: float) -> "np.ndarray":
+def _zipf_ranks(rng: "np.random.Generator", count: int, universe: int,
+                alpha: float) -> "np.ndarray":
     """Sample *count* ranks in ``[1, universe]`` from a Zipf(alpha) law.
 
     Uses the inverse-CDF over the truncated harmonic weights when the
@@ -89,21 +82,10 @@ def zipf_ranks(rng: "np.random.Generator", count: int, universe: int,
     return ranks
 
 
-def pareto_sizes_kb(rng: "np.random.Generator", count: int,
-                    shape: float = PARETO_SHAPE,
-                    scale_kb: float = PARETO_SCALE_KB,
-                    cap_kb: float = PARETO_CAP_KB) -> "np.ndarray":
-    """Bounded-Pareto object sizes in KB (heavy tail, capped)."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    sizes = (rng.pareto(shape, size=count) + 1.0) * scale_kb
-    return np.minimum(sizes, cap_kb)
-
-
 def make_cluster_workload(requests: int, universe: int = 2_000_000,
                           alpha: float = 1.1,
                           seed: int = 42) -> ClusterWorkload:
-    """Build a deterministic Zipf+Pareto request stream.
+    """Build a deterministic Zipf request stream.
 
     The default two-million-key universe exercises the consistent-hash
     ring at realistic cardinality while the Zipf head keeps per-shard
@@ -112,19 +94,9 @@ def make_cluster_workload(requests: int, universe: int = 2_000_000,
     if requests < 1:
         raise ValueError(f"requests must be >= 1, got {requests}")
     rng = np.random.default_rng(seed)
-    ranks = zipf_ranks(rng, requests, universe, alpha)
-    keys = [f"k{rank}" for rank in ranks]
-    sizes = pareto_sizes_kb(rng, requests)
-    return ClusterWorkload(keys=keys, sizes_kb=sizes, universe=universe,
-                           alpha=alpha, seed=seed)
+    ranks = _zipf_ranks(rng, requests, universe, alpha)
+    return ClusterWorkload(keys=[f"k{rank}" for rank in ranks],
+                           universe=universe, alpha=alpha, seed=seed)
 
 
-__all__ = [
-    "PARETO_CAP_KB",
-    "PARETO_SCALE_KB",
-    "PARETO_SHAPE",
-    "ClusterWorkload",
-    "make_cluster_workload",
-    "pareto_sizes_kb",
-    "zipf_ranks",
-]
+__all__ = ["ClusterWorkload", "make_cluster_workload"]

@@ -36,10 +36,9 @@ from repro.exec.retry import RetryPolicy
 from repro.experiments.common import QUICK, CorpusConfig, write_result
 from repro.policies.registry import make
 from repro.service.breaker import BreakerConfig
-from repro.service.loadgen import LoadReport
+from repro.service.loadgen import SERVED, LoadReport, run_load
 from repro.service.service import ServiceConfig
 from repro.cluster.cluster import ClusterConfig, build_cluster
-from repro.cluster.loadgen import SERVED, run_cluster_load
 from repro.cluster.workload import make_cluster_workload
 
 #: same contenders as X4: eager promotion vs lazy promotion vs QD+LP
@@ -196,8 +195,8 @@ def run_arm(policy_name: str, replicas: int, scenario: ClusterScenario,
         for plan in cluster.plans.values():
             plan.base_latency(scenario.backend_latency)
     cluster.kill(scenario.killed_shard, start, end)
-    report = run_cluster_load(cluster, keys, threads=1, tick=TICK,
-                              checkpoints=[start, end])
+    report = run_load(cluster, keys, threads=1, tick=TICK,
+                      checkpoints=[start, end])
     report.check_accounting()
     cluster.metrics.check_conservation()
     return ClusterOutageRow(policy=policy_name, replicas=replicas,

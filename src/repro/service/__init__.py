@@ -18,13 +18,16 @@ front of a failing backend:
 * :mod:`repro.service.faults` -- :class:`BackendFaultPlan`,
   deterministic backend fault injection on a virtual clock (the
   service-layer sibling of :class:`repro.exec.FaultPlan`).
-* :mod:`repro.service.loadgen` -- closed-loop multi-threaded load
-  harness with per-outcome metrics and latency percentiles, plus the
-  open-loop wrapper :func:`~repro.service.loadgen.run_open_load`.
+* :mod:`repro.service.loadgen` -- the two load harnesses, for a
+  service or a :class:`~repro.cluster.cluster.CacheCluster` alike:
+  closed-loop :func:`~repro.service.loadgen.run_load` (threads,
+  per-outcome metrics, latency percentiles, phase checkpoints) and
+  open-loop :func:`~repro.service.loadgen.run_open_load`.
 * :mod:`repro.service.overload` -- open-loop overload robustness:
   arrival schedules, bounded admission queue with deadline-aware drop,
   static/AIMD concurrency limiters, retry budget, and the service-cost
-  model that charges promotion work on a serialised lock timeline.
+  model that charges promotion work on a serialised lock timeline --
+  the repo's one lock-contention model (experiment X3 runs on it).
 """
 
 from repro.service.backend import (

@@ -1,26 +1,32 @@
-"""Closed-loop multi-threaded load harness for the cache service.
+"""Load harnesses for a cache service or a cluster of them.
 
-``run_load`` replays a key sequence through a
-:class:`~repro.service.service.CacheService` from ``threads`` worker
-threads (closed loop: each thread issues its next request only after
-the previous one resolved), and returns a :class:`LoadReport` with
-per-outcome counts, latency percentiles, throughput, and the breaker's
-state transitions.  The cluster harness
-(:func:`repro.cluster.loadgen.run_cluster_load`) returns the same
-report, with a per-shard breakdown and phase checkpoints.
+Both harnesses take a :class:`~repro.service.service.CacheService` or a
+:class:`~repro.cluster.cluster.CacheCluster` as their *target*:
+
+* :func:`run_load` is closed loop: it replays a key sequence from
+  ``threads`` worker threads, each issuing its next request only after
+  the previous one resolved, and returns a :class:`LoadReport` with
+  per-outcome counts, latency percentiles, throughput, the breaker
+  transitions, phase checkpoints and (for a cluster) a per-shard
+  breakdown.
+* :func:`run_open_load` is open loop: an arrival schedule drives the
+  target through :func:`~repro.service.overload.run_open_loop`, the
+  one engine that charges promotion work on a serialised lock
+  timeline, and returns an
+  :class:`~repro.service.overload.OpenLoadReport`.
 
 Keys are dealt round-robin across threads, so with ``threads=1`` the
 replay is exactly the input order -- which is how the deterministic
-virtual-clock tests and the outage experiment use it.  A per-request
+virtual-clock tests and the outage experiments use it.  A per-request
 ``tick`` advances a :class:`~repro.exec.clock.VirtualClock` between
 requests to model request interarrival time; it must be left at 0 for
 real multi-threaded runs on the system clock.
 
-The harness is interrupt-safe: on ``KeyboardInterrupt`` the stop flag
-is set, worker threads wind down at their next request boundary, and
-the partial :class:`LoadReport` is attached to the re-raised
-:class:`LoadInterrupted` so callers (the CLI) can flush what was
-measured before exiting with code 130.
+The closed-loop harness is interrupt-safe: on ``KeyboardInterrupt`` the
+stop flag is set, worker threads wind down at their next request
+boundary, and the partial :class:`LoadReport` is attached to the
+re-raised :class:`LoadInterrupted` so callers (the CLI) can flush what
+was measured before exiting with code 130.
 """
 
 from __future__ import annotations
@@ -202,34 +208,42 @@ class LoadReport:
         return "\n".join(lines)
 
 
-def _report(service: CacheService, elapsed: float, threads: int,
-            interrupted: bool) -> LoadReport:
-    return LoadReport.from_metrics(
-        service.metrics, elapsed, threads,
-        breaker_transitions=service.breaker_transitions(),
-        interrupted=interrupted)
+def _shards(target) -> List[CacheService]:
+    """The services behind *target*: a cluster's shards, or itself."""
+    shards = getattr(target, "shards", None)
+    return [target] if shards is None else list(shards.values())
 
 
 def run_load(
-    service: CacheService,
+    target,
     keys: Sequence,
     threads: int = 1,
     tick: float = 0.0,
+    checkpoints: Optional[Sequence[float]] = None,
     timeseries: Optional[TimeSeriesRecorder] = None,
 ) -> LoadReport:
-    """Replay *keys* through *service* and measure what happened.
+    """Replay *keys* through *target* and measure what happened.
 
-    ``tick`` > 0 advances the service's :class:`VirtualClock` by that
-    many virtual seconds before each request (single-threaded
+    *target* is a :class:`CacheService` or a
+    :class:`~repro.cluster.cluster.CacheCluster`; a cluster's report
+    also carries its per-shard snapshots.
+
+    ``tick`` > 0 paces requests on the target's :class:`VirtualClock`
+    at absolute deadlines ``origin + i * tick`` (single-threaded
     deterministic mode only -- with real threads a shared virtual
-    advance would be racy in *meaning*, not just in memory).
+    advance would be racy in *meaning*, not just in memory), so
+    injected backend latencies never skew the schedule and a fault
+    window at virtual time *t* always lands on the same request index.
 
-    *timeseries*, if given, is offered the service's clock time after
+    ``checkpoints`` are virtual times at which to snapshot the
+    target's counters for phase accounting (:meth:`LoadReport.phases`);
+    they require tick mode.
+
+    *timeseries*, if given, is offered the target's clock time after
     every request and samples its registry whenever ``cadence`` clock
     seconds elapsed -- so a run over an injected outage window yields
     windowed outcome curves (hit/stale/error rates over time) rather
-    than end-of-run totals.  Pair it with the service's registry
-    (``service.metrics.registry``).
+    than end-of-run totals.  Pair it with the target's registry.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -237,36 +251,58 @@ def run_load(
         raise ValueError(f"tick must be >= 0, got {tick}")
     if tick > 0 and threads != 1:
         raise ValueError("tick-based virtual time requires threads=1")
-    if tick > 0 and not isinstance(service.clock, VirtualClock):
-        raise ValueError("tick requires the service to run on a "
+    clock = target.clock
+    if tick > 0 and not isinstance(clock, VirtualClock):
+        raise ValueError("tick requires the target to run on a "
                          "VirtualClock")
+    if checkpoints and tick == 0:
+        raise ValueError("checkpoints require tick-paced virtual time")
 
+    marks = sorted(float(t) for t in (checkpoints or ()))
+    taken: List[Tuple[float, Dict[str, int]]] = []
     stop = threading.Event()
     started = time.perf_counter()
-    origin = service.clock.now()
+    origin = clock.now()
+
+    def take_due_checkpoints() -> None:
+        while marks and clock.now() >= marks[0]:
+            taken.append((marks.pop(0), target.metrics.snapshot()))
 
     def worker(slice_keys: Sequence) -> None:
-        # Tick pacing uses absolute deadlines (sleep_until) rather than
-        # relative advances, so the request schedule stays exact no
-        # matter what the service itself does to the shared clock.
         for index, key in enumerate(slice_keys, start=1):
             if stop.is_set():
                 return
             if tick:
-                service.clock.sleep_until(origin + index * tick)
-            service.get(key)
+                # Snapshot *before* crossing a checkpoint boundary so a
+                # phase delta contains exactly the requests issued
+                # strictly before that virtual time.
+                deadline = origin + index * tick
+                take_due_checkpoints()
+                while marks and marks[0] <= deadline:
+                    clock.sleep_until(marks[0])
+                    take_due_checkpoints()
+                clock.sleep_until(deadline)
+            target.get(key)
             if timeseries is not None:
-                timeseries.maybe_sample(service.clock.now())
+                timeseries.maybe_sample(clock.now())
+
+    def report(interrupted: bool) -> LoadReport:
+        return LoadReport.from_metrics(
+            target.metrics, time.perf_counter() - started, threads,
+            shards=(target.shard_snapshots()
+                    if getattr(target, "shards", None) is not None
+                    else None),
+            checkpoints=taken,
+            breaker_transitions=target.breaker_transitions(),
+            interrupted=interrupted)
 
     if threads == 1:
         try:
             worker(keys)
         except KeyboardInterrupt:
-            raise LoadInterrupted(_report(
-                service, time.perf_counter() - started, threads,
-                interrupted=True)) from None
-        return _report(service, time.perf_counter() - started, threads,
-                       interrupted=False)
+            raise LoadInterrupted(report(interrupted=True)) from None
+        take_due_checkpoints()
+        return report(interrupted=False)
 
     slices = [list(keys[t::threads]) for t in range(threads)]
     pool = [threading.Thread(target=worker, args=(s,), daemon=True)
@@ -282,15 +318,12 @@ def run_load(
         stop.set()
         for thread in pool:
             thread.join(timeout=5.0)
-        raise LoadInterrupted(_report(
-            service, time.perf_counter() - started, threads,
-            interrupted=True)) from None
-    return _report(service, time.perf_counter() - started, threads,
-                   interrupted=False)
+        raise LoadInterrupted(report(interrupted=True)) from None
+    return report(interrupted=False)
 
 
 def run_open_load(
-    service: CacheService,
+    target,
     keys: Sequence,
     schedule: ArrivalSchedule,
     queue: Optional[AdmissionQueue] = None,
@@ -301,7 +334,7 @@ def run_open_load(
     metric_labels: Optional[dict] = None,
     tracer=None,
 ) -> OpenLoadReport:
-    """Open-loop load against one :class:`CacheService`.
+    """Open-loop load against a :class:`CacheService` or a cluster.
 
     Unlike :func:`run_load`, demand is an arrival *schedule*: requests
     arrive at their schedule times whether or not earlier ones
@@ -310,9 +343,16 @@ def run_open_load(
     and the overload behaviour (shed, dropped, queue delay, goodput)
     becomes measurable.  Service time comes from the *cost* model,
     with promotion work charged on a serialised lock timeline; the
-    schedule plays out on the service's clock (use a
+    schedule plays out on the target's clock (use a
     :class:`~repro.exec.clock.VirtualClock` for deterministic runs).
-    The service's own retry budget, if configured, is reported.
+
+    Promotions and retry-budget counts are summed over the target's
+    shards (a service is its own single shard).  A cluster's shards
+    each promote under their own lock in reality; the one serialised
+    timeline is a conservative upper bound that keeps the model the
+    same for both kinds of target.  A cluster adds ``replica_hit`` to
+    the outcomes, so its conservation invariant is
+    ``hit+miss+replica_hit+stale+shed+dropped+error == offered``.
     """
     # `is None` checks: an empty AdmissionQueue is falsy (len() == 0),
     # so `queue or default` would silently discard the caller's queue.
@@ -320,23 +360,28 @@ def run_open_load(
         queue = AdmissionQueue(capacity=1024)
     if limiter is None:
         limiter = StaticLimiter(8)
-    probe = service.policy  # promotion_count aggregates inner caches
-    report = run_open_loop(
-        get=service.get,
+
+    def promotions() -> int:
+        # promotion_count aggregates a policy's inner caches
+        return sum(shard.policy.promotion_count
+                   for shard in _shards(target))
+
+    return run_open_loop(
+        get=target.get,
         arrivals=schedule.times(),
         keys=keys,
-        clock=service.clock,
+        clock=target.clock,
         queue=queue,
         limiter=limiter,
         cost=cost,
-        promotions_probe=lambda: probe.promotion_count,
-        retry_budget=service.retry_budget,
+        promotions_probe=promotions,
+        retry_budgets=[shard.retry_budget for shard in _shards(target)
+                       if shard.retry_budget is not None],
         timeseries=timeseries,
         registry=registry,
         metric_labels=metric_labels,
         tracer=tracer,
     )
-    return report
 
 
 __all__ = ["SERVED", "LoadInterrupted", "LoadReport", "run_load",

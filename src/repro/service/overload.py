@@ -746,7 +746,7 @@ def run_open_loop(
     limiter: ConcurrencyLimiter,
     cost: Optional[ServiceCostModel] = None,
     promotions_probe: Optional[Callable[[], int]] = None,
-    retry_budget: Optional[RetryBudget] = None,
+    retry_budgets: Sequence[RetryBudget] = (),
     timeseries: Optional[TimeSeriesRecorder] = None,
     registry: Optional[MetricsRegistry] = None,
     metric_labels: Optional[Dict[str, str]] = None,
@@ -763,8 +763,9 @@ def run_open_loop(
     a :meth:`CacheService.get <repro.service.service.CacheService.get>`
     or :meth:`CacheCluster.get <repro.cluster.cluster.CacheCluster.get>`
     bound method; *promotions_probe* returns the cumulative promotion
-    count behind it.  Keys are dealt to arrivals in order, cycling if
-    the schedule outlasts the key sequence.
+    count behind it, and *retry_budgets* are the budgets whose granted
+    and denied retries the report sums.  Keys are dealt to arrivals in
+    order, cycling if the schedule outlasts the key sequence.
 
     With a *tracer* (:class:`~repro.obs.reqtrace.RequestTracer` on the
     same *clock*) the engine owns the per-request root span: queue wait
@@ -930,8 +931,8 @@ def run_open_loop(
         limiter_adjustments=len(getattr(limiter, "adjustments", ())),
         lock_busy=lock_busy,
         promotions=promotions_after - promotions_before,
-        retries_granted=retry_budget.granted if retry_budget else 0,
-        retries_denied=retry_budget.denied if retry_budget else 0,
+        retries_granted=sum(budget.granted for budget in retry_budgets),
+        retries_denied=sum(budget.denied for budget in retry_budgets),
     )
     return report
 

@@ -420,7 +420,8 @@ class TestOneSourceOfTruth:
         return f"{name}{{{text}}}" if text else name
 
     def test_private_registries_hold_every_count(self):
-        from repro.cluster import make_cluster_workload, run_cluster_load
+        from repro.cluster import make_cluster_workload
+        from repro.service import run_load
 
         cluster = build_cluster(
             lambda: LRU(40), shards=4,
@@ -429,8 +430,8 @@ class TestOneSourceOfTruth:
         cluster.kill("s1", 10.0, 20.0)
         keys = make_cluster_workload(3000, universe=400, alpha=1.1,
                                      seed=7).keys
-        report = run_cluster_load(cluster, keys, threads=1, tick=0.01,
-                                  checkpoints=[10.0, 20.0])
+        report = run_load(cluster, keys, threads=1, tick=0.01,
+                          checkpoints=[10.0, 20.0])
         during = report.phases()[1]
         assert during["replica_hit"] + during["error"] > 0   # kill felt
         views = [cluster.metrics] + [shard.metrics

@@ -160,6 +160,27 @@ class TestInterrupt:
         report.check_accounting()
 
 
+class TestServiceCheckpoints:
+    """Phase checkpoints work on a single service as on a cluster."""
+
+    def test_checkpoints_split_phases_exactly(self):
+        report = run_load(virtual_service(), list(range(100)), threads=1,
+                          tick=0.1, checkpoints=[3.0, 7.0])
+        phases = report.phases()
+        assert [p["requests"] for p in phases] == [29, 40, 31]
+        assert [t for t, _ in report.checkpoints] == [3.0, 7.0]
+        assert report.shards is None
+
+    def test_outage_window_degrades_only_the_middle_phase(self):
+        plan = BackendFaultPlan().outage(3.0, 7.0)
+        service = virtual_service(plan, ServiceConfig(breaker=None))
+        report = run_load(service, list(range(100)), threads=1, tick=0.1,
+                          checkpoints=[3.0, 7.0])
+        before, during, after = report.phases()
+        assert before["error"] == 0 and after["error"] == 0
+        assert during["error"] == during["requests"] == 40
+
+
 class TestTimeseriesSampling:
     def test_clock_cadence_windows_cover_all_requests(self):
         registry = MetricsRegistry()
@@ -242,7 +263,7 @@ breakers      : s1:closed->open@1.00s, s1:open->half-open@3.50s"""
 def run_seeded(layer):
     """A seeded tick-paced run through one node (backend outage) or a
     4-shard cluster (shard kill, with checkpoints around it)."""
-    from repro.cluster import ClusterConfig, build_cluster, run_cluster_load
+    from repro.cluster import ClusterConfig, build_cluster
 
     keys = [key % 30 for key in range(600)]
     if layer == "single":
@@ -254,8 +275,8 @@ def run_seeded(layer):
         lambda: LRU(10), shards=4,
         config=ClusterConfig(replicas=0), clock=VirtualClock())
     cluster.kill("s1", 2.0, 4.0)
-    return run_cluster_load(cluster, keys, threads=1, tick=0.01,
-                            checkpoints=[2.0, 4.0])
+    return run_load(cluster, keys, threads=1, tick=0.01,
+                    checkpoints=[2.0, 4.0])
 
 
 @pytest.mark.parametrize("layer", ["single", "cluster"])

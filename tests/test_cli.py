@@ -216,7 +216,8 @@ class TestLoadgenCommand:
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
         from repro.service.loadgen import LoadInterrupted, LoadReport
 
-        def interrupted(service, keys, threads=1, tick=0.0):
+        def interrupted(target, keys, threads=1, tick=0.0,
+                        checkpoints=None):
             report = LoadReport(
                 requests=7,
                 outcomes={"hit": 3, "miss": 4, "stale": 0, "shed": 0,
@@ -253,6 +254,25 @@ class TestLoadgenCommand:
         assert "replica_hit=" in out
         assert (tmp_path / "loadgen_cluster.txt").exists()
         assert (tmp_path / "loadgen_cluster_metrics.jsonl").exists()
+
+    def test_loadgen_open_loop_cluster_mode(self, capsys, tmp_path,
+                                            monkeypatch):
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        code = main(["loadgen", "--open-loop", "--shards", "3",
+                     "--kill-shard", "s1", "--replicas", "0",
+                     "--requests", "1500", "--objects", "300",
+                     "--rate", "100", "--duration", "4",
+                     "--trace-sample", "0.1"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "goodput" in captured.out
+        assert "error=" in captured.out          # the kill was felt
+        for name in ("loadgen_open_cluster.txt",
+                     "loadgen_open_cluster_metrics.jsonl",
+                     "loadgen_open_cluster_timeseries.jsonl",
+                     "loadgen_open_cluster_reqtrace.jsonl"):
+            assert (tmp_path / name).exists(), name
+        assert "--labels shard=*" in captured.err
 
     def test_loadgen_cluster_kill_shard(self, capsys, tmp_path,
                                         monkeypatch):
