@@ -25,7 +25,12 @@ from repro.traces.synthetic import blend, one_hit_wonder_trace, scan_trace
 
 
 class MRU(EvictionPolicy):
-    """Evict the most recently used object (a scan-friendly policy)."""
+    """Evict the most recently used object (a scan-friendly policy).
+
+    ``request`` takes the ``size`` every policy is handed (the QD
+    wrapper passes it on to its main cache); this one counts objects
+    and ignores it.
+    """
 
     name = "MRU"
 
@@ -33,7 +38,7 @@ class MRU(EvictionPolicy):
         super().__init__(capacity)
         self._queue: "OrderedDict[object, None]" = OrderedDict()
 
-    def request(self, key) -> bool:
+    def request(self, key, size: int = 1) -> bool:
         if key in self._queue:
             self._queue.move_to_end(key)
             self._record(True)

@@ -5,7 +5,9 @@ Objects in web caches vary by orders of magnitude in size, and the
 right metric depends on what you pay for: request misses (origin
 RPS) or byte misses (origin bandwidth).  This example attaches
 heavy-tailed log-normal sizes to a web-like trace and compares the
-size-aware policies on both metrics.
+size-aware policies on both metrics.  Each one is built by name from
+the registry with a byte budget; the policies are the same classes as
+in the unsized examples, fed ``request(key, size)``.
 
 Run:  python examples/size_aware_caching.py
 """
@@ -13,16 +15,8 @@ Run:  python examples/size_aware_caching.py
 import numpy as np
 
 from repro.analysis.tables import render_table
-from repro.sized import (
-    GDSF,
-    SizedClock,
-    SizedFIFO,
-    SizedLRU,
-    SizedQDLPFIFO,
-    attach_sizes,
-    simulate_sized,
-    unique_bytes,
-)
+from repro.policies.registry import make_sized
+from repro.sized import attach_sizes, simulate_sized, unique_bytes
 from repro.traces.synthetic import one_hit_wonder_trace
 
 
@@ -38,10 +32,9 @@ def main() -> None:
           f"cache: {capacity / 1e6:.1f} MB (10%)\n")
 
     rows = []
-    for factory in (SizedFIFO, SizedLRU,
-                    lambda b: SizedClock(b, bits=2),
-                    SizedQDLPFIFO, GDSF):
-        policy = factory(capacity)
+    for name in ("Sized-FIFO", "Sized-LRU", "Sized-2-bit-CLOCK",
+                 "Sized-QD-LP-FIFO", "GDSF"):
+        policy = make_sized(name, capacity)
         result = simulate_sized(policy, sized)
         rows.append([policy.name, result.miss_ratio,
                      result.byte_miss_ratio])

@@ -61,8 +61,8 @@ class AdaptiveQDLPFIFO(QDCache):
         self._previous_ratio: float = -1.0
 
     # ------------------------------------------------------------------
-    def request(self, key: Key) -> bool:
-        hit = super().request(key)
+    def request(self, key: Key, size: int = 1) -> bool:
+        hit = super().request(key, size)
         self._window_requests += 1
         if not hit:
             self._window_misses += 1
@@ -95,10 +95,9 @@ class AdaptiveQDLPFIFO(QDCache):
         self.main_capacity = self.capacity - new_probation
         # Shrinking probation demotes its tail via the normal path so
         # accessed objects still graduate rather than vanish.
-        while len(self._probation) > self.probation_capacity:
-            self._demote_one()
+        self._drain(0)
         self.main.resize(self.main_capacity)
-        self.ghost.max_entries = self.main_capacity
+        self.ghost.capacity = self.main_capacity
 
     @property
     def probation_fraction(self) -> float:

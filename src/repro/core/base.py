@@ -121,7 +121,8 @@ class CacheListener:
 
     Subclass and override the methods you care about.  ``on_admit`` fires
     when an object enters the cache's *data* store (metadata-only ghost
-    entries do not count); ``on_evict`` fires when it leaves.  Internal
+    entries do not count); ``on_evict`` fires when it leaves, including
+    a resized object that no longer fits.  Internal
     moves between segments of a composite cache (e.g. probationary ->
     main in the QD wrapper) do not fire events: the object stays cached.
     """
@@ -156,10 +157,18 @@ class EvictionPolicy(ABC):
     """Abstract base for all eviction algorithms.
 
     A policy manages a set of cached keys subject to a fixed ``capacity``
-    (measured in objects; the paper assumes uniform object sizes to focus
-    on access-pattern effects).  The single entry point is
-    :meth:`request`, which performs a lookup and, on a miss, admits the
-    key -- evicting as needed.
+    in units.  The single entry point is :meth:`request`, which performs
+    a lookup and, on a miss, admits the key -- evicting as needed.
+
+    Every request carries a ``size`` (default 1).  At size 1 a unit is
+    one object -- the paper's uniform-size model, which every policy
+    follows and which the fast engines mirror bit for bit.  The
+    size-aware policies (FIFO, LRU, the CLOCK family, GDSF and the QD
+    wrapper around them; see ``make_sized``) also honour real sizes,
+    where a unit is one byte: a re-request with a new size resizes the
+    cached copy (dropping it if it alone no longer fits), an object
+    larger than the capacity bypasses the cache, and ``used`` counts the
+    units in use.  The other policies accept ``size`` and ignore it.
 
     Subclasses must implement :meth:`request`, :meth:`__contains__` and
     :meth:`__len__`, must never exceed ``capacity``, and must call
@@ -182,12 +191,21 @@ class EvictionPolicy(ABC):
     # Interface
     # ------------------------------------------------------------------
     @abstractmethod
-    def request(self, key: Key) -> bool:
-        """Process one request for *key*.
+    def request(self, key: Key, size: int = 1) -> bool:
+        """Process one request for *key* of *size* units.
 
         Returns ``True`` on a cache hit and ``False`` on a miss.  On a
         miss the key is admitted (possibly evicting another key).
         """
+
+    def admits(self, size: int) -> bool:
+        """Whether an object of *size* units can ever be cached."""
+        return size <= self.capacity
+
+    @staticmethod
+    def _check_size(size: int) -> None:
+        if size < 1:
+            raise ValueError(f"size must be >= 1, got {size}")
 
     @abstractmethod
     def __contains__(self, key: Key) -> bool:

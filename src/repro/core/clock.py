@@ -24,72 +24,24 @@ hot objects.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.core.base import EvictionPolicy, Key
-from repro.utils.linkedlist import KeyedList
-
-
-class FIFOReinsertion(EvictionPolicy):
-    """FIFO-Reinsertion == 1-bit CLOCK == Second Chance.
-
-    Requests to cached objects only set the node's ``visited`` flag --
-    the object is *not* moved.  At eviction time the tail object is
-    examined: if visited, the flag is cleared and the object is
-    reinserted at the head (the lazy promotion); otherwise it is
-    evicted.
-
-    This terminates: each reinsertion clears a flag, so after at most
-    one full pass an unvisited object is found.
-    """
-
-    name = "FIFO-Reinsertion"
-
-    def __init__(self, capacity: int) -> None:
-        super().__init__(capacity)
-        self._queue: KeyedList[Key] = KeyedList()
-
-    def request(self, key: Key) -> bool:
-        node = self._queue.get(key)
-        if node is not None:
-            node.visited = True
-            self._record(True)
-            self._notify_hit(key)
-            return True
-        self._record(False)
-        if len(self._queue) >= self.capacity:
-            self._evict_one()
-        self._queue.push_head(key)
-        self._notify_admit(key)
-        return False
-
-    def _evict_one(self) -> None:
-        while True:
-            node = self._queue.pop_tail()
-            if node.visited:
-                node.visited = False
-                self._queue.push_head_node(node)
-                self._promoted(key=node.key)
-            else:
-                self._notify_evict(node.key)
-                return
-
-    def __contains__(self, key: Key) -> bool:
-        return key in self._queue
-
-    def __len__(self) -> int:
-        return len(self._queue)
+from repro.utils.linkedlist import KeyedList, Node
 
 
 class KBitClock(EvictionPolicy):
     """CLOCK with a *bits*-wide saturating frequency counter.
 
-    ``bits=1`` reproduces :class:`FIFOReinsertion` exactly (kept as a
-    separate class for clarity and as the named algorithm of §3).
-    ``bits=2`` is the paper's 2-bit CLOCK: frequency saturates at 3, the
-    hand decrements on scan, and zero-frequency objects are evicted.
+    ``bits=1`` is :class:`FIFOReinsertion`; ``bits=2`` is the paper's
+    2-bit CLOCK: frequency saturates at 3, the hand decrements on scan,
+    and zero-frequency objects are evicted.
 
     An object's counter starts at zero on insertion; each hit increments
     it (saturating); each hand pass over a nonzero object decrements it
-    and rotates the object back to the head.
+    and rotates the object back to the head.  Each node keeps its
+    object's size in ``extra``.  This terminates: each rotation lowers a
+    counter, so after at most ``max_freq`` passes a zero is found.
     """
 
     def __init__(self, capacity: int, bits: int = 2) -> None:
@@ -99,33 +51,51 @@ class KBitClock(EvictionPolicy):
         self.bits = bits
         self.max_freq = (1 << bits) - 1
         self.name = f"{bits}-bit-CLOCK"
+        self.used = 0
         self._queue: KeyedList[Key] = KeyedList()
 
-    def request(self, key: Key) -> bool:
+    def request(self, key: Key, size: int = 1) -> bool:
         node = self._queue.get(key)
         if node is not None:
             if node.freq < self.max_freq:
                 node.freq += 1
+            if node.extra != size:
+                self._check_size(size)
+                self.used += size - node.extra
+                node.extra = size
+                self._make_room(0, keep=node)
             self._record(True)
             self._notify_hit(key)
             return True
+        self._check_size(size)
         self._record(False)
-        if len(self._queue) >= self.capacity:
-            self._evict_one()
-        self._queue.push_head(key)
+        if size > self.capacity:
+            return False
+        self._make_room(size)
+        self._queue.push_head(key).extra = size
+        self.used += size
         self._notify_admit(key)
         return False
 
-    def _evict_one(self) -> None:
-        while True:
-            node = self._queue.pop_tail()
-            if node.freq > 0:
+    def _make_room(self, size: int, keep: Optional[Node] = None) -> None:
+        """Run the hand until *size* more units fit.
+
+        *keep* is a just-resized resident: the hand rotates past it
+        unless it is the only object left, in which case it no longer
+        fits on its own and is dropped.
+        """
+        queue = self._queue
+        while self.used + size > self.capacity:
+            node = queue.pop_tail()
+            if node is keep and len(queue):
+                queue.push_head_node(node)
+            elif node.freq > 0 and node is not keep:
                 node.freq -= 1
-                self._queue.push_head_node(node)
+                queue.push_head_node(node)
                 self._promoted(key=node.key)
             else:
+                self.used -= node.extra
                 self._notify_evict(node.key)
-                return
 
     def resize(self, new_capacity: int) -> None:
         """Change the capacity at runtime (evicting if shrinking).
@@ -136,14 +106,27 @@ class KBitClock(EvictionPolicy):
         if new_capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {new_capacity}")
         self.capacity = int(new_capacity)
-        while len(self._queue) > self.capacity:
-            self._evict_one()
+        self._make_room(0)
 
     def __contains__(self, key: Key) -> bool:
         return key in self._queue
 
     def __len__(self) -> int:
         return len(self._queue)
+
+
+class FIFOReinsertion(KBitClock):
+    """FIFO-Reinsertion == 1-bit CLOCK == Second Chance.
+
+    Requests to cached objects only set the node's one-bit counter --
+    the object is *not* moved.  At eviction time the tail object is
+    examined: if set, the bit is cleared and the object is reinserted
+    at the head (the lazy promotion); otherwise it is evicted.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        super().__init__(capacity, bits=1)
+        self.name = "FIFO-Reinsertion"
 
 
 def two_bit_clock(capacity: int) -> KBitClock:

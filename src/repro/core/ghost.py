@@ -2,7 +2,8 @@
 
 A ghost queue remembers the identity -- not the data -- of recently
 evicted objects.  The Quick Demotion wrapper uses a FIFO ghost sized to
-as many entries as the main cache: an arriving miss whose key is found
+as many units as the main cache (entries at unit size, the bytes the
+entries represent in a sized cache): an arriving miss whose key is found
 in the ghost is judged "wrongly demoted once already" and admitted
 straight into the main cache instead of the probationary queue.
 """
@@ -16,19 +17,24 @@ Key = Hashable
 
 
 class GhostQueue:
-    """A FIFO set of keys with bounded size.
+    """A FIFO set of keys bounded by the units they represent.
 
-    Re-adding an existing key refreshes its position (moves it to the
-    young end), matching the behaviour of ghost queues in ARC/2Q-style
-    implementations.  ``max_entries == 0`` produces a permanently empty
+    Each entry remembers its object's size (1 by default, so the bound
+    is an entry count); the oldest entries fall off once the total
+    exceeds ``capacity``, but at least one entry always stays, so even
+    an object larger than the budget is remembered once.  Re-adding an
+    existing key refreshes its position (moves it to the young end) and
+    its size, matching the behaviour of ghost queues in ARC/2Q-style
+    implementations.  ``capacity == 0`` produces a permanently empty
     ghost, useful for ablations that disable history.
     """
 
-    def __init__(self, max_entries: int) -> None:
-        if max_entries < 0:
-            raise ValueError(f"max_entries must be >= 0, got {max_entries}")
-        self.max_entries = int(max_entries)
-        self._entries: "OrderedDict[Key, None]" = OrderedDict()
+    def __init__(self, capacity: int) -> None:
+        if capacity < 0:
+            raise ValueError(f"capacity must be >= 0, got {capacity}")
+        self.capacity = int(capacity)
+        self.used = 0
+        self._entries: "OrderedDict[Key, int]" = OrderedDict()
 
     def __contains__(self, key: Key) -> bool:
         return key in self._entries
@@ -40,30 +46,31 @@ class GhostQueue:
         """Iterate keys oldest -> youngest."""
         return iter(self._entries)
 
-    def add(self, key: Key) -> None:
-        """Record *key*, evicting the oldest entry when full."""
-        if self.max_entries == 0:
+    def add(self, key: Key, size: int = 1) -> None:
+        """Record *key*; the oldest entries fall off the budget."""
+        if self.capacity == 0:
             return
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            return
-        while len(self._entries) >= self.max_entries:
-            self._entries.popitem(last=False)
-        self._entries[key] = None
+        entries = self._entries
+        self.used += size - entries.pop(key, 0)
+        entries[key] = size
+        while self.used > self.capacity and len(entries) > 1:
+            self.used -= entries.popitem(last=False)[1]
 
     def remove(self, key: Key) -> bool:
         """Forget *key*.  Returns whether it was present."""
-        if key in self._entries:
-            del self._entries[key]
-            return True
-        return False
+        size = self._entries.pop(key, None)
+        if size is None:
+            return False
+        self.used -= size
+        return True
 
     def clear(self) -> None:
         """Drop all entries."""
         self._entries.clear()
+        self.used = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<GhostQueue {len(self)}/{self.max_entries}>"
+        return f"<GhostQueue {self.used}/{self.capacity}>"
 
 
 __all__ = ["GhostQueue"]

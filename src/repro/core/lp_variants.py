@@ -41,7 +41,7 @@ class PeriodicPromotionLRU(EvictionPolicy):
         self._queue: KeyedList[Key] = KeyedList()  # head = MRU
         self._clock = 0
 
-    def request(self, key: Key) -> bool:
+    def request(self, key: Key, size: int = 1) -> bool:
         self._clock += 1
         node = self._queue.get(key)
         if node is not None:
@@ -95,7 +95,7 @@ class PromoteOldOnlyLRU(EvictionPolicy):
         age = self._clock - (node.extra or 0)
         return age >= (1.0 - self.old_fraction) * self.capacity
 
-    def request(self, key: Key) -> bool:
+    def request(self, key: Key, size: int = 1) -> bool:
         self._clock += 1
         node = self._queue.get(key)
         if node is not None:

@@ -20,11 +20,11 @@ pipeline.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.core.base import CacheListener, EvictionPolicy, Key
 from repro.core.ghost import GhostQueue
-from repro.utils.linkedlist import KeyedList
+from repro.utils.linkedlist import KeyedList, Node
 
 #: Factory building the main-cache policy from its capacity.
 MainFactory = Callable[[int], EvictionPolicy]
@@ -51,16 +51,23 @@ class QDCache(EvictionPolicy):
     Parameters
     ----------
     capacity:
-        Total number of objects the composite cache may hold.
+        Total units the composite cache may hold (objects at unit size,
+        bytes in a sized cache).
     main_factory:
         Builds the main-cache policy given its capacity (90 % of the
-        total by default).
+        total by default).  The wrapper passes each request's ``size``
+        on to it.
     probation_fraction:
         Fraction of ``capacity`` given to the probationary FIFO.  The
         paper uses 0.1; the ablation benchmark sweeps this.
     ghost_factor:
         Ghost entries as a multiple of the main cache's capacity.  The
         paper uses 1.0 ("as many entries as the main cache").
+
+    With real sizes, two rules are size-specific: an object too large
+    for the probationary queue is admitted straight into the main cache
+    (it could never prove itself in probation), and the ghost is
+    bounded by the units its entries represent.
     """
 
     def __init__(
@@ -90,57 +97,87 @@ class QDCache(EvictionPolicy):
         self.main = main_factory(self.main_capacity)
         self.main.add_listener(_EvictForwarder(self))
         self.ghost = GhostQueue(round(self.main_capacity * ghost_factor))
-        self._probation: KeyedList[Key] = KeyedList()
+        self._probation: KeyedList[Key] = KeyedList()  # node.extra = size
+        self._probation_used = 0
         self.name = f"QD-{self.main.name}"
 
     # ------------------------------------------------------------------
     # EvictionPolicy interface
     # ------------------------------------------------------------------
-    def request(self, key: Key) -> bool:
+    def request(self, key: Key, size: int = 1) -> bool:
         node = self._probation.get(key)
         if node is not None:
             # Lazy promotion inside probation: a hit only marks the
             # object; whether it graduates to the main cache is decided
             # when it reaches the probationary tail.
             node.visited = True
+            if node.extra != size:
+                self._check_size(size)
+                self._probation_used += size - node.extra
+                node.extra = size
+                self._drain(0, keep=node)
             self._record(True)
             self._notify_hit(key)
             return True
         if key in self.main:
-            self.main.request(key)
+            self.main.request(key, size)
             self._record(True)
             self._notify_hit(key)
             return True
 
+        self._check_size(size)
         self._record(False)
+        if not self.admits(size):
+            return False
         if self.ghost.remove(key):
             # Seen (and demoted) before: admit straight into the main
             # cache -- the quick-demotion filter was wrong about it once.
             self._notify_ghost_hit(key)
-            self.main.request(key)
+        elif size <= self.probation_capacity:
+            self._drain(size)
+            self._probation.push_head(key).extra = size
+            self._probation_used += size
             self._notify_admit(key)
             return False
-
-        if len(self._probation) >= self.probation_capacity:
-            self._demote_one()
-        self._probation.push_head(key)
-        self._notify_admit(key)
+        self.main.request(key, size)
+        if key in self.main:
+            self._notify_admit(key)
         return False
 
-    def _demote_one(self) -> None:
-        """Evict one object from the probationary FIFO's tail.
+    def _drain(self, size: int, keep: Optional[Node] = None) -> None:
+        """Demote from the probationary tail until *size* more units fit.
 
         Accessed-since-insertion objects graduate to the main cache (no
-        admit event: they never left the composite cache); untouched
-        objects are evicted for good and remembered in the ghost.
+        event: they never left the composite cache, unless the main
+        cache refuses them); untouched objects are evicted for good and
+        remembered in the ghost.  *keep* is a just-resized resident: it
+        is rotated to the head unless it is the last object, in which
+        case it graduates.
         """
-        node = self._probation.pop_tail()
-        if node.visited:
-            self.main.request(node.key)
-            self._promoted(key=node.key)
-        else:
-            self.ghost.add(node.key)
-            self._notify_evict(node.key)
+        probation = self._probation
+        while self._probation_used + size > self.probation_capacity:
+            node = probation.pop_tail()
+            if node is keep and len(probation):
+                probation.push_head_node(node)
+                continue
+            self._probation_used -= node.extra
+            if node.visited:
+                self.main.request(node.key, node.extra)
+                self._promoted(key=node.key)
+                if node.key not in self.main:
+                    self._notify_evict(node.key)
+            else:
+                self.ghost.add(node.key, node.extra)
+                self._notify_evict(node.key)
+
+    @property
+    def used(self) -> int:
+        """Units in use across probation and the main cache."""
+        return self._probation_used + self.main.used
+
+    def admits(self, size: int) -> bool:
+        """An object must fit one of the two segments to be cacheable."""
+        return size <= max(self.main_capacity, self.probation_capacity)
 
     def __contains__(self, key: Key) -> bool:
         return key in self._probation or key in self.main

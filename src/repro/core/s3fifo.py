@@ -61,7 +61,7 @@ class S3FIFO(EvictionPolicy):
         self.ghost = GhostQueue(round(self.main_capacity * ghost_factor))
 
     # ------------------------------------------------------------------
-    def request(self, key: Key) -> bool:
+    def request(self, key: Key, size: int = 1) -> bool:
         node = self._small.get(key)
         if node is None:
             node = self._main.get(key)

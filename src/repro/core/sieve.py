@@ -32,7 +32,7 @@ class Sieve(EvictionPolicy):
         self._queue: KeyedList[Key] = KeyedList()
         self._hand: Optional[Node[Key]] = None
 
-    def request(self, key: Key) -> bool:
+    def request(self, key: Key, size: int = 1) -> bool:
         node = self._queue.get(key)
         if node is not None:
             node.visited = True

@@ -29,7 +29,7 @@ from abc import ABC, abstractmethod
 from collections import OrderedDict
 from typing import Hashable
 
-from repro.sized.qd import SizedGhost
+from repro.core.ghost import GhostQueue
 
 Key = Hashable
 
@@ -62,10 +62,10 @@ class AdmitAll(AdmissionController):
 class GhostAdmission(AdmissionController):
     """Probationary admission: reject-and-remember, admit on repeat.
 
-    The ghost is byte-bounded (:class:`~repro.sized.qd.SizedGhost`) at
-    ``ghost_factor`` times the tier's capacity, so its memory horizon
-    scales with the tier exactly like the QD wrapper's ghost scales
-    with its main cache.
+    The ghost (:class:`~repro.core.ghost.GhostQueue`) is bounded by the
+    bytes its entries represent, at ``ghost_factor`` times the tier's
+    capacity, so its memory horizon scales with the tier exactly like
+    the QD wrapper's ghost scales with its main cache.
     """
 
     name = "ghost"
@@ -75,7 +75,7 @@ class GhostAdmission(AdmissionController):
         if ghost_factor <= 0:
             raise ValueError(
                 f"ghost_factor must be > 0, got {ghost_factor}")
-        self.ghost = SizedGhost(max(1, round(capacity_bytes * ghost_factor)))
+        self.ghost = GhostQueue(max(1, round(capacity_bytes * ghost_factor)))
 
     def admit(self, key: Key, size: int) -> bool:
         if self.ghost.remove(key):

@@ -1,14 +1,14 @@
 """One storage tier: a sized policy plus demotion/write accounting.
 
-A :class:`Tier` wraps a :class:`~repro.sized.base.SizedEvictionPolicy`
-built through the unified registry
-(:func:`~repro.policies.registry.make_sized`) and adds what the
-hierarchy needs around it:
+A :class:`Tier` wraps a policy built through the unified registry
+(:func:`~repro.policies.registry.make_sized`), fed ``request(key,
+size)`` against a byte budget, and adds what the hierarchy needs
+around it:
 
 * an eviction buffer -- the policy's
-  :class:`~repro.sized.base.SizedCacheListener` events are captured so
-  the hierarchy can *demote* victims into the next tier instead of
-  losing them;
+  :class:`~repro.core.base.CacheListener` evictions are captured, with
+  the size the tier last wrote for each key, so the hierarchy can
+  *demote* victims into the next tier instead of losing them;
 * an admission controller gating demotions into this tier;
 * :class:`TierStats`: per-tier lookup/hit accounting (a plain
   :class:`~repro.sized.base.SizedStats`, so ``hits + misses ==
@@ -23,11 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
+from repro.core.base import CacheListener
 from repro.hierarchy.admission import make_admission
 from repro.hierarchy.config import TierConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.policies.registry import make_sized
-from repro.sized.base import SizedCacheListener, SizedStats
+from repro.sized.base import SizedStats
 
 Key = Hashable
 
@@ -95,14 +96,20 @@ class TierStats:
         return self.write_bytes / self.first_copy_bytes
 
 
-class _EvictionBuffer(SizedCacheListener):
-    """Captures the wrapped policy's evictions for the hierarchy."""
+class _EvictionBuffer(CacheListener):
+    """Captures the wrapped policy's evictions for the hierarchy.
+
+    ``sizes`` holds the size of every key the tier has handed to the
+    policy, set *before* each call, so an object that a resize makes
+    too big for the tier leaves with its new size.
+    """
 
     def __init__(self) -> None:
+        self.sizes: Dict[Key, int] = {}
         self.evicted: List[Tuple[Key, int]] = []
 
-    def on_evict(self, key: Key, size: int) -> None:
-        self.evicted.append((key, size))
+    def on_evict(self, key: Key) -> None:
+        self.evicted.append((key, self.sizes.pop(key)))
 
 
 class Tier:
@@ -150,11 +157,11 @@ class Tier:
     # ------------------------------------------------------------------
     @property
     def used_bytes(self) -> int:
-        return self.policy.used_bytes
+        return self.policy.used
 
     @property
     def capacity_bytes(self) -> int:
-        return self.policy.capacity_bytes
+        return self.policy.capacity
 
     def __contains__(self, key: Key) -> bool:
         return key in self.policy
@@ -171,12 +178,16 @@ class Tier:
             self.stats.evicted_bytes += sum(size for _, size in evicted)
         return evicted
 
+    def _request(self, key: Key, size: int) -> None:
+        self._buffer.sizes[key] = size
+        self.policy.request(key, size)
+
     # ------------------------------------------------------------------
     def lookup(self, key: Key, size: int) -> bool:
         """Probe this tier; a hit refreshes the policy's recency state."""
         hit = key in self.policy
         if hit:
-            self.policy.request(key, size)
+            self._request(key, size)
         else:
             self.admission.record_lookup(key, size)
         self.stats.sized.record(hit, size)
@@ -184,7 +195,7 @@ class Tier:
             self._metrics["lookups"].inc()
             if hit:
                 self._metrics["hits"].inc()
-            self._metrics["used_bytes"].set(self.policy.used_bytes)
+            self._metrics["used_bytes"].set(self.policy.used)
         return hit
 
     def insert(self, key: Key, size: int) -> bool:
@@ -196,12 +207,13 @@ class Tier:
         are refreshed for free).
         """
         if key in self.policy:
-            self.policy.request(key, size)
+            self._request(key, size)
             return False
         if not self.policy.admits(size):
             return False
-        self.policy.request(key, size)
+        self._request(key, size)
         if key not in self.policy:  # pragma: no cover - defensive
+            self._buffer.sizes.pop(key, None)
             return False
         self._count_write(key, size)
         return True
@@ -213,14 +225,14 @@ class Tier:
         :data:`REFRESHED` or :data:`REJECTED`).
         """
         if key in self.policy:
-            self.policy.request(key, size)
+            self._request(key, size)
             outcome = REFRESHED
             self.stats.demoted_in_refreshed += 1
         elif not self.policy.admits(size):
             outcome = REJECTED
             self.stats.demoted_in_rejected += 1
         elif self.admission.admit(key, size):
-            self.policy.request(key, size)
+            self._request(key, size)
             self._count_write(key, size)
             outcome = ADMITTED
             self.stats.demoted_in_admitted += 1
@@ -229,7 +241,7 @@ class Tier:
             self.stats.demoted_in_rejected += 1
         if self._metrics is not None:
             self._metrics["demotions"][outcome].inc()
-            self._metrics["used_bytes"].set(self.policy.used_bytes)
+            self._metrics["used_bytes"].set(self.policy.used)
         return outcome
 
     def _count_write(self, key: Key, size: int) -> None:
@@ -246,10 +258,10 @@ class Tier:
         assert self.stats.sized.hits + self.stats.sized.misses == \
             self.stats.lookups, (
                 f"tier {self.name}: hits+misses != lookups")
-        assert self.policy.used_bytes <= self.policy.capacity_bytes, (
-            f"tier {self.name}: used {self.policy.used_bytes} exceeds "
-            f"budget {self.policy.capacity_bytes}")
-        assert self.policy.used_bytes >= 0, (
+        assert self.used_bytes <= self.capacity_bytes, (
+            f"tier {self.name}: used {self.used_bytes} exceeds "
+            f"budget {self.capacity_bytes}")
+        assert self.used_bytes >= 0, (
             f"tier {self.name}: negative used_bytes")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -1,12 +1,13 @@
 """Eviction-algorithm zoo: baselines and the five state-of-the-art
 algorithms the paper QD-enhances (ARC, LIRS, CACHEUS, LeCaR, LHD),
-plus the offline-optimal Belady bound.
+plus the offline-optimal Belady bound and the size-aware GDSF.
 """
 
 from repro.policies.arc import ARC
 from repro.policies.belady import Belady
 from repro.policies.cacheus import CACHEUS
 from repro.policies.fifo import FIFO
+from repro.policies.gdsf import GDSF
 from repro.policies.hyperbolic import Hyperbolic
 from repro.policies.lecar import LeCaR
 from repro.policies.lfu import LFU
@@ -26,6 +27,7 @@ __all__ = [
     "Belady",
     "CACHEUS",
     "FIFO",
+    "GDSF",
     "Hyperbolic",
     "LeCaR",
     "LFU",

@@ -34,7 +34,7 @@ class ARC(EvictionPolicy):
         self._b2: "OrderedDict[Key, None]" = OrderedDict()
 
     # ------------------------------------------------------------------
-    def request(self, key: Key) -> bool:
+    def request(self, key: Key, size: int = 1) -> bool:
         # Case I: hit in T1 or T2 -> promote to T2's MRU end.
         if key in self._t1:
             del self._t1[key]

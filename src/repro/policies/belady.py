@@ -57,7 +57,7 @@ class Belady(OfflinePolicy):
         self._tiebreak = 0
 
     # ------------------------------------------------------------------
-    def request(self, key: Key) -> bool:
+    def request(self, key: Key, size: int = 1) -> bool:
         if self._cursor >= len(self._next_of_position):
             raise RuntimeError(
                 "Belady received more requests than it was prepared for; "

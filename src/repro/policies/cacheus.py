@@ -123,7 +123,7 @@ class CACHEUS(EvictionPolicy):
         self._hist_crlfu: "OrderedDict[Key, int]" = OrderedDict()
 
     # ------------------------------------------------------------------
-    def request(self, key: Key) -> bool:
+    def request(self, key: Key, size: int = 1) -> bool:
         self._clock += 1
         self._window_requests += 1
         if key in self._present:

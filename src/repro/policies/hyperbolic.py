@@ -41,7 +41,7 @@ class Hyperbolic(EvictionPolicy):
         self._pos: Dict[Key, int] = {}
 
     # ------------------------------------------------------------------
-    def request(self, key: Key) -> bool:
+    def request(self, key: Key, size: int = 1) -> bool:
         self._clock += 1
         meta = self._meta.get(key)
         if meta is not None:

@@ -54,7 +54,7 @@ class LeCaR(EvictionPolicy):
         self._hist_lfu: "OrderedDict[Key, tuple]" = OrderedDict()
 
     # ------------------------------------------------------------------
-    def request(self, key: Key) -> bool:
+    def request(self, key: Key, size: int = 1) -> bool:
         self._clock += 1
         if key in self._lru:
             self._lru.move_to_end(key)

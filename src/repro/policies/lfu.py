@@ -38,7 +38,7 @@ class LFU(EvictionPolicy):
             self.name = "CR-LFU"
 
     # ------------------------------------------------------------------
-    def request(self, key: Key) -> bool:
+    def request(self, key: Key, size: int = 1) -> bool:
         if key in self._freq_of:
             self._bump(key)
             self._promoted(key=key)

@@ -84,7 +84,7 @@ class LHD(EvictionPolicy):
         ]
 
     # ------------------------------------------------------------------
-    def request(self, key: Key) -> bool:
+    def request(self, key: Key, size: int = 1) -> bool:
         self._clock += 1
         if self._clock >= self._next_reconf:
             self._reconfigure()

@@ -69,7 +69,7 @@ class LIRS(EvictionPolicy):
         self._lir_count = 0
 
     # ------------------------------------------------------------------
-    def request(self, key: Key) -> bool:
+    def request(self, key: Key, size: int = 1) -> bool:
         state = self._state.get(key)
         if state == _LIR:
             self._stack.move_to_head(key)

@@ -41,7 +41,7 @@ class LRFU(EvictionPolicy):
         self._heap: List[Tuple[float, Key]] = []
 
     # ------------------------------------------------------------------
-    def request(self, key: Key) -> bool:
+    def request(self, key: Key, size: int = 1) -> bool:
         self._clock += 1
         t = self._clock
         weight = self._weight.get(key)

@@ -9,13 +9,12 @@ unpopular new objects linger so long (§2).
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from repro.core.base import Key
+from repro.policies.fifo import FIFO
 
-from repro.core.base import EvictionPolicy, Key
 
-
-class LRU(EvictionPolicy):
-    """Classic LRU over an ordered map.
+class LRU(FIFO):
+    """Classic LRU: :class:`~repro.policies.fifo.FIFO` plus promotion.
 
     The ``OrderedDict`` back end keeps the implementation honest: a hit
     costs a ``move_to_end`` (the eager promotion) and eviction pops the
@@ -24,30 +23,17 @@ class LRU(EvictionPolicy):
 
     name = "LRU"
 
-    def __init__(self, capacity: int) -> None:
-        super().__init__(capacity)
-        self._queue: "OrderedDict[Key, None]" = OrderedDict()
-
-    def request(self, key: Key) -> bool:
-        if key in self._queue:
+    def request(self, key: Key, size: int = 1) -> bool:
+        cached = self._queue.get(key)
+        if cached is not None:
             self._queue.move_to_end(key)
             self._promoted(key=key)
+            if cached != size:
+                self._resize(key, size)
             self._record(True)
             self._notify_hit(key)
             return True
-        self._record(False)
-        if len(self._queue) >= self.capacity:
-            victim, _ = self._queue.popitem(last=False)
-            self._notify_evict(victim)
-        self._queue[key] = None
-        self._notify_admit(key)
-        return False
-
-    def __contains__(self, key: Key) -> bool:
-        return key in self._queue
-
-    def __len__(self) -> int:
-        return len(self._queue)
+        return self._miss(key, size)
 
     def victim(self) -> Key:
         """The key that would be evicted next; ``KeyError`` if empty."""

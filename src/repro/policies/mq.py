@@ -77,7 +77,7 @@ class MQ(EvictionPolicy):
                 self._meta[head] = (freq, self._clock + self.lifetime, idx - 1)
 
     # ------------------------------------------------------------------
-    def request(self, key: Key) -> bool:
+    def request(self, key: Key, size: int = 1) -> bool:
         self._clock += 1
         meta = self._meta.get(key)
         if meta is not None:

@@ -28,7 +28,7 @@ class RandomCache(EvictionPolicy):
         self._keys: List[Key] = []
         self._pos: Dict[Key, int] = {}
 
-    def request(self, key: Key) -> bool:
+    def request(self, key: Key, size: int = 1) -> bool:
         if key in self._pos:
             self._record(True)
             self._notify_hit(key)

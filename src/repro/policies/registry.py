@@ -27,10 +27,7 @@ import difflib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.core.base import EvictionPolicy
-from repro.sized.base import SizedEvictionPolicy
-from repro.sized.policies import GDSF, SizedClock, SizedFIFO, SizedLRU
-from repro.sized.qd import SizedQDCache, SizedQDLPFIFO
+from repro.core.base import EvictionPolicy, validate_capacity
 from repro.core.adaptive_qd import AdaptiveQDLPFIFO
 from repro.core.clock import FIFOReinsertion, KBitClock
 from repro.core.lp_variants import PeriodicPromotionLRU, PromoteOldOnlyLRU
@@ -42,6 +39,7 @@ from repro.policies.arc import ARC
 from repro.policies.belady import Belady
 from repro.policies.cacheus import CACHEUS
 from repro.policies.fifo import FIFO
+from repro.policies.gdsf import GDSF
 from repro.policies.hyperbolic import Hyperbolic
 from repro.policies.lecar import LeCaR
 from repro.policies.lfu import LFU
@@ -173,31 +171,29 @@ for _alias, _target in ALIASES.items():
 # Size-aware (byte-budgeted) policies: same registry machinery
 # ----------------------------------------------------------------------
 
-#: Sized policy constructor: ``factory(capacity_bytes, **params)``.
-SizedFactory = Callable[..., SizedEvictionPolicy]
+def _sized(factory: Factory) -> Factory:
+    """Build through *factory*, naming the policy ``Sized-<name>``.
 
+    The sized names build the same classes as their unsized ones; only
+    the printed name tells a byte-budgeted instance apart.
+    """
 
-def _sized_clock(default_bits: int) -> SizedFactory:
-    """Sized CLOCK factory whose ``bits`` default matches the name."""
-
-    def build(capacity_bytes: int, bits: int = default_bits) -> SizedClock:
-        return SizedClock(capacity_bytes, bits=bits)
+    def build(capacity: int, **params: object) -> EvictionPolicy:
+        policy = factory(capacity, **params)
+        policy.name = f"Sized-{policy.name}"
+        return policy
 
     return build
 
 
-def _sized_qd_gdsf(capacity_bytes: int, **params: float) -> SizedQDCache:
-    return SizedQDCache(capacity_bytes, GDSF, **params)
-
-
 _SIZED_SPECS: List[PolicySpec] = [
-    PolicySpec("Sized-FIFO", SizedFIFO, "sized"),
-    PolicySpec("Sized-LRU", SizedLRU, "sized"),
-    PolicySpec("Sized-2-bit-CLOCK", _sized_clock(2), "sized"),
-    PolicySpec("Sized-3-bit-CLOCK", _sized_clock(3), "sized"),
+    PolicySpec("Sized-FIFO", _sized(FIFO), "sized"),
+    PolicySpec("Sized-LRU", _sized(LRU), "sized"),
+    PolicySpec("Sized-2-bit-CLOCK", _sized(_kbit_clock(2)), "sized"),
+    PolicySpec("Sized-3-bit-CLOCK", _sized(_kbit_clock(3)), "sized"),
     PolicySpec("GDSF", GDSF, "sized"),
-    PolicySpec("Sized-QD-LP-FIFO", SizedQDLPFIFO, "sized", min_capacity=2),
-    PolicySpec("Sized-QD-GDSF", _sized_qd_gdsf, "sized", min_capacity=2),
+    PolicySpec("Sized-QD-LP-FIFO", _sized(QDLPFIFO), "sized", min_capacity=2),
+    PolicySpec("Sized-QD-GDSF", _sized(_qd(GDSF)), "sized", min_capacity=2),
 ]
 
 SIZED_REGISTRY: Dict[str, PolicySpec] = {
@@ -268,30 +264,19 @@ def resolve_sized(name: str) -> PolicySpec:
 
 
 def make_sized(name: str, capacity_bytes: int,
-               **params: object) -> SizedEvictionPolicy:
+               **params: object) -> EvictionPolicy:
     """Instantiate the size-aware policy registered under *name*.
 
     The byte-budget twin of :func:`make`: same alias resolution, same
     did-you-mean errors, same parameter passthrough (``bits`` for the
     sized CLOCK family, ``probation_fraction``/``ghost_factor`` for the
     sized QD wrappers).  Unsized spellings resolve to their sized
-    counterpart, so ``make_sized("lru", 1 << 20)`` builds a
-    ``Sized-LRU``.
+    counterpart, so ``make_sized("lru", 1 << 20)`` builds an ``LRU``
+    with a 1 MiB budget, named ``Sized-LRU``; feed it
+    ``request(key, size)``.
     """
-    spec = resolve_sized(name)
-    if isinstance(capacity_bytes, int) and not isinstance(
-            capacity_bytes, bool) and capacity_bytes < spec.min_capacity:
-        raise ValueError(
-            f"{spec.name} needs capacity_bytes >= {spec.min_capacity}, "
-            f"got {capacity_bytes}")
-    try:
-        return spec.factory(capacity_bytes, **params)
-    except TypeError as exc:
-        if params:
-            raise TypeError(
-                f"policy {spec.name!r} rejected parameters "
-                f"{sorted(params)}: {exc}") from exc
-        raise
+    return _build(resolve_sized(name), capacity_bytes, "capacity_bytes",
+                  params)
 
 
 def canonical_sized_name(name: str) -> str:
@@ -339,10 +324,23 @@ def make(name: str, capacity: int, **params: object) -> EvictionPolicy:
     ``ValueError`` when *capacity* is below the policy's minimum, and
     ``TypeError`` naming the policy when it rejects a parameter.
     """
-    spec = resolve(name)
+    return _build(resolve(name), capacity, "capacity", params)
+
+
+def _build(spec: PolicySpec, capacity: object, what: str,
+           params: Dict[str, object]) -> EvictionPolicy:
+    """Validate *capacity*, check *spec*'s minimum, then build.
+
+    A plain ``int`` needs only the minimum check (every minimum is at
+    least 1); anything else goes through :func:`validate_capacity`
+    first, so ``"10"``, ``None``, ``True`` and ``2.5`` fail with its
+    message instead of a comparison error.
+    """
+    if isinstance(capacity, bool) or not isinstance(capacity, int):
+        capacity = validate_capacity(capacity, what=what)
     if capacity < spec.min_capacity:
         raise ValueError(
-            f"{spec.name} needs capacity >= {spec.min_capacity}, "
+            f"{spec.name} needs {what} >= {spec.min_capacity}, "
             f"got {capacity}")
     try:
         return spec.factory(capacity, **params)
@@ -378,5 +376,4 @@ __all__ = [
     "resolve_sized",
     "canonical_sized_name",
     "sized_names",
-    "SizedFactory",
 ]

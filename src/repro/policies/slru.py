@@ -44,7 +44,7 @@ class SLRU(EvictionPolicy):
         self._protected: "OrderedDict[Key, None]" = OrderedDict()
 
     # ------------------------------------------------------------------
-    def request(self, key: Key) -> bool:
+    def request(self, key: Key, size: int = 1) -> bool:
         if key in self._protected:
             self._protected.move_to_end(key)
             self._promoted(key=key)

@@ -48,7 +48,7 @@ class TwoQ(EvictionPolicy):
         self._am: "OrderedDict[Key, None]" = OrderedDict()
 
     # ------------------------------------------------------------------
-    def request(self, key: Key) -> bool:
+    def request(self, key: Key, size: int = 1) -> bool:
         if key in self._am:
             self._am.move_to_end(key)
             self._promoted(key=key)

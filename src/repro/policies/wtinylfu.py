@@ -109,7 +109,7 @@ class WTinyLFU(EvictionPolicy):
         boost = 1 if key in self.doorkeeper else 0
         return self.sketch.estimate(key) + boost
 
-    def request(self, key: Key) -> bool:
+    def request(self, key: Key, size: int = 1) -> bool:
         self._count(key)
         if key in self._window:
             self._window.move_to_end(key)

@@ -88,20 +88,20 @@ def engine_for(policy: EvictionPolicy,
             capacity, num_unique,
             small_capacity=policy.small_capacity,
             main_capacity=policy.main_capacity,
-            ghost_entries=policy.ghost.max_entries)
+            ghost_entries=policy.ghost.capacity)
     elif kind in (QDCache, QDLPFIFO) and type(policy.main) is KBitClock:
         engine = FastQDLP(
             capacity, num_unique,
             probation_capacity=policy.probation_capacity,
             main_capacity=policy.main_capacity,
-            ghost_entries=policy.ghost.max_entries,
+            ghost_entries=policy.ghost.capacity,
             bits=policy.main.bits)
     elif kind is QDCache and type(policy.main) is ARC:
         engine = FastQD(
             capacity, num_unique,
             probation_capacity=policy.probation_capacity,
             main_capacity=policy.main_capacity,
-            ghost_entries=policy.ghost.max_entries,
+            ghost_entries=policy.ghost.capacity,
             core_factory=lambda host: _ARCCore(
                 host, policy.main_capacity))
     elif kind is QDCache and type(policy.main) is LHD:
@@ -110,7 +110,7 @@ def engine_for(policy: EvictionPolicy,
             capacity, num_unique,
             probation_capacity=policy.probation_capacity,
             main_capacity=policy.main_capacity,
-            ghost_entries=policy.ghost.max_entries,
+            ghost_entries=policy.ghost.capacity,
             core_factory=lambda host: _LHDCore(
                 host, policy.main_capacity,
                 sample_size=main.sample_size,

@@ -1,22 +1,17 @@
 """Size-aware caching: the paper's §5 future-work direction, built.
 
-* :mod:`repro.sized.base` -- byte-budgeted policy abstraction with
-  object- and byte-level miss accounting.
-* :mod:`repro.sized.policies` -- Sized-FIFO/LRU/CLOCK and GDSF.
-* :mod:`repro.sized.qd` -- size-aware Quick Demotion and
-  Sized-QD-LP-FIFO.
+The policies themselves are the ordinary ones fed ``request(key,
+size)`` against a byte budget, built by
+:func:`~repro.policies.registry.make_sized`.  This package holds what
+is specific to sized traces:
+
+* :mod:`repro.sized.base` -- object- and byte-level miss accounting.
 * :mod:`repro.sized.workloads` -- deterministic heavy-tailed object
   sizes for any key trace.
 * :mod:`repro.sized.simulator` -- (keys, sizes) replay.
 """
 
-from repro.sized.base import (
-    SizedCacheListener,
-    SizedEvictionPolicy,
-    SizedStats,
-)
-from repro.sized.policies import GDSF, SizedClock, SizedFIFO, SizedLRU
-from repro.sized.qd import SizedGhost, SizedQDCache, SizedQDLPFIFO
+from repro.sized.base import SizedStats
 from repro.sized.simulator import SizedSimResult, simulate_sized
 from repro.sized.workloads import (
     attach_sizes,
@@ -27,16 +22,7 @@ from repro.sized.workloads import (
 )
 
 __all__ = [
-    "SizedCacheListener",
-    "SizedEvictionPolicy",
     "SizedStats",
-    "GDSF",
-    "SizedClock",
-    "SizedFIFO",
-    "SizedLRU",
-    "SizedGhost",
-    "SizedQDCache",
-    "SizedQDLPFIFO",
     "SizedSimResult",
     "simulate_sized",
     "attach_sizes",

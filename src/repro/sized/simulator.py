@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sized.base import SizedEvictionPolicy
+from repro.core.base import EvictionPolicy
+from repro.sized.base import SizedStats
 from repro.sized.workloads import SizedTrace
 
 
@@ -33,16 +34,16 @@ class SizedSimResult:
         return self.miss_bytes / self.total_bytes
 
 
-def simulate_sized(policy: SizedEvictionPolicy,
+def simulate_sized(policy: EvictionPolicy,
                    sized: SizedTrace) -> SizedSimResult:
-    """Replay a (keys, sizes) trace through a sized policy."""
+    """Replay a (keys, sizes) trace through a size-aware policy."""
     keys, sizes = sized
     if len(keys) != len(sizes):
         raise ValueError("keys and sizes must have equal length")
-    request = policy.request
+    stats = SizedStats()
+    request, record = policy.request, stats.record
     for key, size in zip(keys, sizes):
-        request(key, size)
-    stats = policy.stats
+        record(request(key, size), size)
     return SizedSimResult(
         policy=policy.name,
         requests=stats.requests,

@@ -17,7 +17,7 @@ class TestConstruction:
         cache = make_qd(100)
         assert cache.probation_capacity == 10
         assert cache.main_capacity == 90
-        assert cache.ghost.max_entries == 90
+        assert cache.ghost.capacity == 90
 
     def test_probation_fraction_respected(self):
         cache = make_qd(100, probation_fraction=0.2)
@@ -26,7 +26,7 @@ class TestConstruction:
 
     def test_ghost_factor(self):
         cache = make_qd(100, ghost_factor=2.0)
-        assert cache.ghost.max_entries == 180
+        assert cache.ghost.capacity == 180
 
     def test_tiny_capacity_keeps_one_slot_each(self):
         cache = make_qd(2)

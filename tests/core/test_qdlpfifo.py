@@ -15,7 +15,7 @@ class TestQDLPFIFO:
         assert cache.main.bits == 2
         assert cache.probation_capacity == 10
         assert cache.main_capacity == 90
-        assert cache.ghost.max_entries == 90
+        assert cache.ghost.capacity == 90
 
     def test_clock_bits_configurable(self):
         cache = QDLPFIFO(100, clock_bits=1)

@@ -12,7 +12,7 @@ class TestS3FIFO:
         cache = S3FIFO(100)
         assert cache.small_capacity == 10
         assert cache.main_capacity == 90
-        assert cache.ghost.max_entries == 90
+        assert cache.ghost.capacity == 90
 
     def test_capacity_one_rejected(self):
         with pytest.raises(ValueError):

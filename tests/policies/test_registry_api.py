@@ -8,6 +8,7 @@ from repro.policies.registry import (
     REGISTRY,
     canonical_name,
     make,
+    make_sized,
     names,
     resolve,
 )
@@ -93,6 +94,24 @@ class TestMake:
     def test_capacity_respected(self):
         policy = make("sieve", 64)
         assert policy.capacity == 64
+
+    @pytest.mark.parametrize("build, what", [
+        (make, "capacity"),
+        (make_sized, "capacity_bytes"),
+    ], ids=["make", "make_sized"])
+    @pytest.mark.parametrize("capacity, error, message", [
+        ("10", TypeError, "{what} must be an integer >= 1, got '10'"),
+        (None, TypeError, "{what} must be an integer >= 1, got None"),
+        (True, TypeError, "{what} must be an integer >= 1, got True"),
+        (2.5, ValueError, "{what} must be a whole number, got 2.5"),
+        (0, ValueError, "LRU needs {what} >= 1, got 0"),
+    ], ids=["str", "None", "bool", "fraction", "zero"])
+    def test_bad_capacity_fails_with_one_clear_message(
+            self, build, what, capacity, error, message):
+        """make and make_sized validate a capacity the same way."""
+        with pytest.raises(error) as excinfo:
+            build("LRU", capacity)
+        assert message.format(what=what) in str(excinfo.value)
 
 
 class TestNames:

@@ -1,11 +1,23 @@
 """Unit tests for the size-aware baseline policies."""
 
+from functools import partial
+
 import pytest
 
+from repro.core.clock import FIFOReinsertion, KBitClock
+from repro.policies.gdsf import GDSF
+from repro.policies.lru import LRU
+from repro.policies.registry import make_sized
 from repro.sized.base import SizedStats
-from repro.sized.policies import GDSF, SizedClock, SizedFIFO, SizedLRU
 
-ALL_FACTORIES = [SizedFIFO, SizedLRU, lambda b: SizedClock(b, 2), GDSF]
+# Each case keeps the id it was first recorded under, when the sized
+# policies were separate classes.
+ALL_FACTORIES = [
+    pytest.param(partial(make_sized, name), id=case_id)
+    for name, case_id in (("Sized-FIFO", "SizedFIFO"),
+                          ("Sized-LRU", "SizedLRU"),
+                          ("Sized-2-bit-CLOCK", "<lambda>"),
+                          ("GDSF", "GDSF"))]
 
 
 class TestSizedStats:
@@ -57,7 +69,7 @@ class TestCommonBehaviour:
             key = int(rng.integers(0, 300))
             size = int(rng.integers(1, 900))
             cache.request(key, size)
-            assert cache.used_bytes <= 10_000
+            assert cache.used <= 10_000
 
     @pytest.mark.parametrize("factory", ALL_FACTORIES)
     def test_used_bytes_matches_contents(self, factory, rng):
@@ -69,14 +81,14 @@ class TestCommonBehaviour:
             cache.request(key, size)
             sizes[key] = size
         resident = sum(sizes[k] for k in sizes if k in cache)
-        assert resident == cache.used_bytes
+        assert resident == cache.used
 
     @pytest.mark.parametrize("factory", ALL_FACTORIES)
     def test_oversized_object_bypasses(self, factory):
         cache = factory(100)
         assert cache.request("huge", 101) is False
         assert "huge" not in cache
-        assert cache.used_bytes == 0
+        assert cache.used == 0
 
     @pytest.mark.parametrize("factory", ALL_FACTORIES)
     def test_hit_miss_semantics(self, factory):
@@ -90,7 +102,7 @@ class TestCommonBehaviour:
         cache = factory(1000)
         cache.request("a", 100)
         cache.request("a", 700)
-        assert cache.used_bytes == 700
+        assert cache.used == 700
 
     @pytest.mark.parametrize("factory", ALL_FACTORIES)
     def test_invalid_size_rejected(self, factory):
@@ -100,12 +112,12 @@ class TestCommonBehaviour:
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
-            SizedLRU(0)
+            LRU(0)
 
 
 class TestSizedLRU:
     def test_evicts_least_recent_first(self):
-        cache = SizedLRU(100)
+        cache = LRU(100)
         cache.request("a", 40)
         cache.request("b", 40)
         cache.request("a", 40)   # refresh a
@@ -116,7 +128,7 @@ class TestSizedLRU:
 
 class TestSizedClock:
     def test_visited_object_survives(self):
-        cache = SizedClock(100, bits=1)
+        cache = FIFOReinsertion(100)
         cache.request("a", 40)
         cache.request("a", 40)   # freq 1
         cache.request("b", 40)
@@ -126,7 +138,7 @@ class TestSizedClock:
 
     def test_invalid_bits(self):
         with pytest.raises(ValueError):
-            SizedClock(100, bits=0)
+            KBitClock(100, bits=0)
 
 
 class TestGDSF:
@@ -141,7 +153,7 @@ class TestGDSF:
         assert cache.request("big", 100) is True  # resize over budget
         assert "big" in cache
         assert "small" not in cache
-        assert cache.used_bytes == 100
+        assert cache.used == 100
 
     def test_upward_resize_beyond_capacity_drops_resized_object(self):
         cache = GDSF(100)
@@ -149,7 +161,7 @@ class TestGDSF:
         cache.request("small", 1)
         assert cache.request("big", 150) is True  # can never fit
         assert "big" not in cache
-        assert cache.used_bytes <= 100
+        assert cache.used <= 100
 
     def test_small_hot_object_beats_large_cold(self):
         cache = GDSF(1000)
@@ -178,5 +190,5 @@ class TestGDSF:
         from repro.sized.workloads import unique_bytes
         cap = unique_bytes(sized) // 10
         gdsf = simulate_sized(GDSF(cap), sized)
-        lru = simulate_sized(SizedLRU(cap), sized)
+        lru = simulate_sized(LRU(cap), sized)
         assert gdsf.miss_ratio < lru.miss_ratio

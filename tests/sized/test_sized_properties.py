@@ -3,16 +3,21 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sized.policies import GDSF, SizedClock, SizedFIFO, SizedLRU
-from repro.sized.qd import SizedQDCache, SizedQDLPFIFO
+from repro.core.clock import KBitClock
+from repro.core.qd import QDCache
+from repro.core.qdlpfifo import QDLPFIFO
+from repro.policies.fifo import FIFO
+from repro.policies.gdsf import GDSF
+from repro.policies.lru import LRU
+from repro.sized.simulator import simulate_sized
 
 FACTORIES = {
-    "Sized-FIFO": SizedFIFO,
-    "Sized-LRU": SizedLRU,
-    "Sized-CLOCK": lambda b: SizedClock(b, 2),
+    "Sized-FIFO": FIFO,
+    "Sized-LRU": LRU,
+    "Sized-CLOCK": lambda b: KBitClock(b, 2),
     "GDSF": GDSF,
-    "Sized-QD-LRU": lambda b: SizedQDCache(b, SizedLRU),
-    "Sized-QD-LP-FIFO": SizedQDLPFIFO,
+    "Sized-QD-LRU": lambda b: QDCache(b, LRU),
+    "Sized-QD-LP-FIFO": QDLPFIFO,
 }
 
 requests_strategy = st.lists(
@@ -33,16 +38,20 @@ def test_sized_invariants(name, requests, capacity):
         hit = cache.request(key, size)
         assert hit == resident_before
         current_size[key] = size
-        assert cache.used_bytes <= capacity
-        assert cache.used_bytes >= 0
+        assert cache.used <= capacity
+        assert cache.used >= 0
         if hit and cache.admits(size):
             # A hit must leave the (resized) object resident, as long
             # as some segment of the cache can hold it at all.
             assert key in cache
     stats = cache.stats
     assert stats.hits + stats.misses == len(requests)
-    assert stats.hit_bytes + stats.miss_bytes == sum(
-        size for _, size in requests)
+    # Byte accounting lives in the replay, not the policy.
+    replay = simulate_sized(FACTORIES[name](capacity),
+                            ([k for k, _ in requests],
+                             [s for _, s in requests]))
+    assert replay.misses == stats.misses
+    assert replay.total_bytes == sum(size for _, size in requests)
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIES))
@@ -59,10 +68,9 @@ def test_sized_determinism(name, requests, capacity):
 @given(requests=requests_strategy, capacity=st.integers(50, 600))
 @settings(max_examples=20, deadline=None)
 def test_sized_qd_used_bytes_matches_parts(requests, capacity):
-    cache = SizedQDLPFIFO(capacity)
+    cache = QDLPFIFO(capacity)
     for key, size in requests:
         cache.request(key, size)
-        assert cache.used_bytes == (cache._probation_used
-                                    + cache.main.used_bytes)
-        assert cache._probation_used <= cache.probation_bytes
-        assert cache.main.used_bytes <= cache.main_bytes
+        assert cache.used == (cache._probation_used + cache.main.used)
+        assert cache._probation_used <= cache.probation_capacity
+        assert cache.main.used <= cache.main_capacity

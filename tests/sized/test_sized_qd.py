@@ -2,35 +2,38 @@
 
 import pytest
 
-from repro.sized.policies import SizedLRU
-from repro.sized.qd import SizedGhost, SizedQDCache, SizedQDLPFIFO
+from repro.core.ghost import GhostQueue
+from repro.core.qd import QDCache
+from repro.core.qdlpfifo import QDLPFIFO
+from repro.policies.lru import LRU
+from repro.policies.registry import make_sized
 from repro.sized.simulator import simulate_sized
 from repro.sized.workloads import attach_sizes, unique_bytes
 
 
 class TestSizedGhost:
     def test_byte_bounded(self):
-        ghost = SizedGhost(100)
+        ghost = GhostQueue(100)
         ghost.add("a", 60)
         ghost.add("b", 60)   # over budget: a falls off
         assert "a" not in ghost
         assert "b" in ghost
-        assert ghost.used_bytes == 60
+        assert ghost.used == 60
 
     def test_keeps_at_least_one_entry(self):
-        ghost = SizedGhost(10)
+        ghost = GhostQueue(10)
         ghost.add("big", 50)   # oversized entries still remembered once
         assert "big" in ghost
 
     def test_remove(self):
-        ghost = SizedGhost(100)
+        ghost = GhostQueue(100)
         ghost.add("a", 10)
         assert ghost.remove("a") is True
         assert ghost.remove("a") is False
-        assert ghost.used_bytes == 0
+        assert ghost.used == 0
 
     def test_re_add_refreshes(self):
-        ghost = SizedGhost(100)
+        ghost = GhostQueue(100)
         ghost.add("a", 40)
         ghost.add("b", 40)
         ghost.add("a", 40)
@@ -38,23 +41,23 @@ class TestSizedGhost:
         assert "a" in ghost and "c" in ghost and "b" not in ghost
 
     def test_zero_capacity(self):
-        ghost = SizedGhost(0)
+        ghost = GhostQueue(0)
         ghost.add("a", 1)
         assert "a" not in ghost
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
-            SizedGhost(-1)
+            GhostQueue(-1)
 
 
 class TestSizedQDCache:
     def make(self, capacity=1000, **kwargs):
-        return SizedQDCache(capacity, SizedLRU, **kwargs)
+        return QDCache(capacity, LRU, **kwargs)
 
     def test_byte_partition(self):
         cache = self.make(1000)
-        assert cache.probation_bytes == 100
-        assert cache.main_bytes == 900
+        assert cache.probation_capacity == 100
+        assert cache.main_capacity == 900
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -100,7 +103,7 @@ class TestSizedQDCache:
             key = int(rng.integers(0, 400))
             size = int(rng.integers(1, 300))
             cache.request(key, size)
-            assert cache.used_bytes <= 5000
+            assert cache.used <= 5000
 
     def test_stats_consistent(self, rng):
         cache = self.make(2000)
@@ -112,9 +115,9 @@ class TestSizedQDCache:
 
 class TestSizedQDLPFIFO:
     def test_name_and_structure(self):
-        cache = SizedQDLPFIFO(1000)
+        cache = make_sized("Sized-QD-LP-FIFO", 1000)
         assert cache.name == "Sized-QD-LP-FIFO"
-        assert cache.main.name == "Sized-2-bit-CLOCK"
+        assert cache.main.name == "2-bit-CLOCK"
 
     def test_beats_sized_lru_on_ohw_bytes(self, rng):
         """The §5 future-work claim, demonstrated: size-aware QD+LP
@@ -124,7 +127,7 @@ class TestSizedQDLPFIFO:
         keys = one_hit_wonder_trace(3000, 50000, 1.0, 0.3, rng)
         sized = attach_sizes(keys, "lognormal", seed=2)
         capacity = unique_bytes(sized) // 10
-        qd = simulate_sized(SizedQDLPFIFO(capacity), sized)
-        lru = simulate_sized(SizedLRU(capacity), sized)
+        qd = simulate_sized(QDLPFIFO(capacity), sized)
+        lru = simulate_sized(LRU(capacity), sized)
         assert qd.byte_miss_ratio < lru.byte_miss_ratio
         assert qd.miss_ratio < lru.miss_ratio
